@@ -12,14 +12,14 @@ from pathlib import Path
 
 from metapsk.baseband import TxMode, data_rate_bps
 from metapsk.config import SimConfig, load_config
-from metapsk.harness import SweepVar, run_paired_point, write_results_csv
+from metapsk.harness import SweepSpec, SweepVar, run_paired_point, write_results_csv
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="runs/rate_sweep")
     ap.add_argument("--trials", type=int, default=300)
-    ap.add_argument("--seed", type=int, default=271828)
+    ap.add_argument("--seed", type=int, default=SweepSpec.master_seed)
     ap.add_argument("--config", help="key = value config file")
     args = ap.parse_args()
 

@@ -13,7 +13,6 @@ is ``phase_offset_deg + k * 45 deg``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,17 +34,6 @@ class TxMode(Enum):
 # exactly one position.  _GRAY_FROM_INDEX[k] is the bit word of symbol k.
 _GRAY_FROM_INDEX = np.array([k ^ (k >> 1) for k in range(8)])
 _INDEX_FROM_GRAY = np.argsort(_GRAY_FROM_INDEX)
-
-
-def map_bits(bits) -> int:
-    """Map one bit triple (MSB first) to its symbol index."""
-    b = np.asarray(bits, dtype=int)
-    if b.shape != (BITS_PER_SYMBOL,):
-        raise ValueError("expected exactly three bits")
-    if not np.all((b == 0) | (b == 1)):
-        raise ValueError("bits must be 0 or 1")
-    word = (b[0] << 2) | (b[1] << 1) | b[2]
-    return int(_INDEX_FROM_GRAY[word])
 
 
 def bits_to_symbols(bits) -> np.ndarray:
@@ -235,33 +223,3 @@ def synthesize(
         raise ValueError(f"unknown mode {mode!r}")
     return Waveform(samples, sample_rate, symbol_rate_hz, mode)
 
-
-IQ_SIDE_CAR_SUFFIX = ".json"
-
-
-def write_iq(path, wave: Waveform) -> None:
-    """Write interleaved float32 little-endian I/Q plus a JSON sidecar."""
-    path = str(path)
-    flat = np.empty(2 * wave.samples.size, dtype="<f4")
-    flat[0::2] = wave.samples.real
-    flat[1::2] = wave.samples.imag
-    flat.tofile(path)
-    meta = {
-        "format": "interleaved float32 little-endian I/Q",
-        "sample_rate_hz": wave.sample_rate_hz,
-        "symbol_rate_hz": wave.symbol_rate_hz,
-        "mode": wave.mode.value,
-    }
-    with open(path + IQ_SIDE_CAR_SUFFIX, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_iq(path) -> Waveform:
-    """Read a waveform written by :func:`write_iq`."""
-    path = str(path)
-    with open(path + IQ_SIDE_CAR_SUFFIX) as fh:
-        meta = json.load(fh)
-    flat = np.fromfile(path, dtype="<f4")
-    samples = flat[0::2].astype(float) + 1j * flat[1::2].astype(float)
-    return Waveform(samples, meta["sample_rate_hz"], meta["symbol_rate_hz"], TxMode(meta["mode"]))

@@ -91,27 +91,10 @@ def voltage_to_reflection(curve: VoltagePhaseCurve, voltage):
     return gamma
 
 
-@dataclass(frozen=True)
-class BiasPoint:
-    """One row of the modulation bias table."""
-
-    symbol_index: int
-    voltage: float
-    target_phase_deg: float
-
-
-def bias_points_for_8psk(curve: VoltagePhaseCurve, phase_offset_deg: float = 0.0) -> list[BiasPoint]:
-    """Bias table hitting the eight PSK phases ``offset + k * 45 deg``."""
-    points = []
-    for k in range(PSK_ORDER):
-        target = phase_offset_deg + k * PSK_STEP_DEG
-        points.append(BiasPoint(k, curve.voltage_for_phase(target), target))
-    return points
-
-
 def bias_voltage_table(curve: VoltagePhaseCurve, phase_offset_deg: float = 0.0) -> np.ndarray:
-    """Voltages of the 8PSK bias table as an index-ordered array."""
-    return np.array([p.voltage for p in bias_points_for_8psk(curve, phase_offset_deg)])
+    """Index-ordered bias voltages hitting the PSK phases ``offset + k * 45 deg``."""
+    return np.array([curve.voltage_for_phase(phase_offset_deg + k * PSK_STEP_DEG)
+                     for k in range(PSK_ORDER)])
 
 
 @dataclass(frozen=True)

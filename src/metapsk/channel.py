@@ -63,16 +63,6 @@ class ChannelConfig:
             raise ValueError("set exactly one of snr_db and tx_power_dbm")
 
 
-def fixed_snr(snr_db: float, seed: int) -> ChannelConfig:
-    return ChannelConfig(seed=seed, snr_db=snr_db)
-
-
-def power_budget(tx_power_dbm: float, seed: int, link_loss_db: float = 50.0,
-                 noise_floor_dbm: float = -95.0, budget: LossBudget = LossBudget()) -> ChannelConfig:
-    return ChannelConfig(seed=seed, tx_power_dbm=tx_power_dbm, link_loss_db=link_loss_db,
-                         noise_floor_dbm=noise_floor_dbm, budget=budget)
-
-
 def realized_snr_db(cfg: ChannelConfig, mode: TxMode) -> float:
     """Per-sample SNR the channel will realize for a waveform of ``mode``."""
     if cfg.snr_db is not None:
@@ -112,19 +102,12 @@ def apply_channel(wave: Waveform, cfg: ChannelConfig) -> Waveform:
     return replace(wave, samples=gain * x + noise)
 
 
-def snr_per_bit_db(snr_db: float, oversampling: int) -> float:
-    """Convert per-sample SNR to Eb/N0 for rectangular pulses.
+def snr_from_eb_n0_db(eb_n0_db: float, oversampling: int) -> float:
+    """Per-sample SNR that realizes a target Eb/N0 for rectangular pulses.
 
     Valid when the receiver collects the whole symbol energy; the
     oversampling term is the symbol-integration gain.
     """
-    if oversampling < 1:
-        raise ValueError("oversampling must be >= 1")
-    return snr_db + 10.0 * math.log10(oversampling) - 10.0 * math.log10(BITS_PER_SYMBOL)
-
-
-def snr_from_eb_n0_db(eb_n0_db: float, oversampling: int) -> float:
-    """Per-sample SNR that realizes a target Eb/N0; inverse of snr_per_bit_db."""
     if oversampling < 1:
         raise ValueError("oversampling must be >= 1")
     return eb_n0_db - 10.0 * math.log10(oversampling) + 10.0 * math.log10(BITS_PER_SYMBOL)

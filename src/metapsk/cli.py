@@ -14,26 +14,24 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from .baseband import TxMode, build_frame, synthesize
-from .channel import ChannelConfig, realized_snr_db, apply_channel
+from .baseband import TxMode
+from .channel import realized_snr_db
 from .config import SimConfig, load_config
 from .harness import (
     SWEEP_MANIFEST_NAME,
     SWEEP_RESULTS_NAME,
     SweepSpec,
     SweepVar,
+    _channel_for,
     compare_modes,
     default_values,
-    derive_seed,
     hardware_counts,
     read_results_csv,
     run_sweep,
+    run_trial,
     write_manifest,
     write_results_csv,
 )
-from .receiver import measure, receive_frame
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +79,8 @@ def cmd_compare(args) -> int:
     rows = []
     for path in args.results:
         rows.extend(read_results_csv(path))
-    gaps = compare_modes(rows, targets=tuple(args.targets))
+    targets = {} if args.targets is None else {"targets": tuple(args.targets)}
+    gaps = compare_modes(rows, **targets)
     _emit({"gaps": [asdict(g) for g in gaps]})
     return 0
 
@@ -98,26 +97,11 @@ def cmd_hw_count(args) -> int:
 def cmd_constellation(args) -> int:
     cfg = _config(args)
     mode = TxMode(args.mode)
-    layout = cfg.layout()
-
-    rng = np.random.default_rng(derive_seed(args.seed, "payload"))
-    payload = rng.integers(0, 2, size=layout.payload_bits)
-    frame = build_frame(payload, layout)
-    wave = synthesize(
-        frame, mode, cfg.curve(), cfg.rc(),
-        oversampling=cfg.oversampling, symbol_rate_hz=cfg.symbol_rate_hz,
-        phase_offset_deg=cfg.phase_offset_deg, incident_amplitude=cfg.incident_amplitude,
-    )
-    common = dict(seed=derive_seed(args.seed, "noise"), link_loss_db=cfg.link_loss_db,
-                  noise_floor_dbm=cfg.noise_floor_dbm, budget=cfg.budget())
     if args.power is not None:
-        channel = ChannelConfig(tx_power_dbm=args.power, **common)
+        channel = _channel_for(SweepVar.TX_POWER, args.power, cfg, seed=0)
     else:
-        channel = ChannelConfig(snr_db=args.snr, **common)
-
-    rx = apply_channel(wave, channel)
-    received = receive_frame(rx, layout, cfg.sync_threshold, cfg.phase_offset_deg)
-    metrics = measure(received, payload, frame.data_symbols(), cfg.phase_offset_deg)
+        channel = _channel_for(SweepVar.SNR, args.snr, cfg, seed=0)
+    received, metrics = run_trial(mode, cfg, cfg.symbol_rate_hz, channel, args.seed)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -150,14 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep grid; defaults to the config grid for --var")
     p.add_argument("--modes", nargs="+", choices=modes, default=modes)
     p.add_argument("--trials", type=int, help="frame budget per point")
-    p.add_argument("--seed", type=int, default=271828)
+    p.add_argument("--seed", type=int, default=SweepSpec.master_seed)
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="dB gap between mode BER curves from result CSVs")
     p.add_argument("results", nargs="+", help="results.csv files covering both modes")
-    p.add_argument("--targets", type=float, nargs="+", default=[1e-2, 3e-3, 1e-3])
+    p.add_argument("--targets", type=float, nargs="+")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("hw-count", help="RF component counts for both architectures")
@@ -169,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--snr", type=float, default=15.0, help="fixed per-sample SNR, dB")
     group.add_argument("--power", type=float, help="transmit power, dBm (uses the link budget)")
-    p.add_argument("--seed", type=int, default=271828)
+    p.add_argument("--seed", type=int, default=SweepSpec.master_seed)
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--out", default="constellation.csv", help="IQ output CSV")
     p.set_defaults(func=cmd_constellation)

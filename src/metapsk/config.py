@@ -1,8 +1,10 @@
 """Simulation configuration: one flat dataclass, one key = value file.
 
-Every tunable default of the simulator lives here so a single file can
-reproduce a run.  The file format is deliberately plain: one ``key =
-value`` pair per line, ``#`` starts a comment, lists are comma-separated.
+Every tunable of the simulator is a field here so a single file can
+reproduce a run.  A field's default comes from the class that uses the
+value, so each default is written once.  The file format is deliberately
+plain: one ``key = value`` pair per line, ``#`` starts a comment, lists
+are comma-separated.
 """
 
 from __future__ import annotations
@@ -13,43 +15,46 @@ from typing import get_args, get_origin
 
 from .baseband import FrameLayout
 from .cell import RcDynamics, VoltagePhaseCurve
-from .channel import REFLECTIVITY_LOSS_DB, LossBudget
+from .channel import ChannelConfig, LossBudget
+from .receiver import SYNC_THRESHOLD_DEFAULT
 from .surface import SurfaceGeometry
 
 
 @dataclass
 class SimConfig:
-    # unit cell
-    v_min: float = 0.0                      # bias range low end, volts
-    v_max: float = 20.0                     # bias range high end, volts
-    phase_at_vmin_deg: float = -180.0       # reflection phase at v_min
-    phase_span_deg: float = 360.0           # phase travel across the bias range
-    cell_amplitude: float = math.sqrt(0.85)  # reflection magnitude, sqrt(power reflectivity)
+    # unit cell: bias range in volts, reflection phase at v_min and its
+    # travel across the range in degrees, reflection magnitude
+    # (sqrt of the power reflectivity)
+    v_min: float = VoltagePhaseCurve.v_min
+    v_max: float = VoltagePhaseCurve.v_max
+    phase_at_vmin_deg: float = VoltagePhaseCurve.phase_at_vmin_deg
+    phase_span_deg: float = VoltagePhaseCurve.phase_span_deg
+    cell_amplitude: float = VoltagePhaseCurve.amplitude
     tau_s: float = 40e-9                    # bias-line settling time constant, seconds
     phase_offset_deg: float = 0.0           # constellation rotation
 
     # surface
-    rows: int = 8
-    cols: int = 32
-    cell_pitch_m: float = 0.012
-    carrier_freq_hz: float = 4.25e9
+    rows: int = SurfaceGeometry.rows
+    cols: int = SurfaceGeometry.cols
+    cell_pitch_m: float = SurfaceGeometry.cell_pitch_m
+    carrier_freq_hz: float = SurfaceGeometry.carrier_freq_hz
     incident_amplitude: float = 1.0
 
     # framing and baseband
-    sync_len: int = 64
-    pilot_len: int = 32
-    data_len: int = 256
+    sync_len: int = FrameLayout.sync_len
+    pilot_len: int = FrameLayout.pilot_len
+    data_len: int = FrameLayout.data_len
     oversampling: int = 8
     symbol_rate_hz: float = 2.048e6
 
     # channel and link budget
-    link_loss_db: float = 50.0              # antenna-to-antenna loss, dB
-    noise_floor_dbm: float = -95.0          # receiver noise power in the sample bandwidth
-    reflectivity_loss_db: float = REFLECTIVITY_LOSS_DB
-    modulation_excess_loss_db: float = 6.0 - REFLECTIVITY_LOSS_DB
+    link_loss_db: float = ChannelConfig.link_loss_db        # antenna-to-antenna loss, dB
+    noise_floor_dbm: float = ChannelConfig.noise_floor_dbm  # receiver noise power in the sample bandwidth
+    reflectivity_loss_db: float = LossBudget.reflectivity_loss_db
+    modulation_excess_loss_db: float = LossBudget.modulation_excess_loss_db
 
     # receiver
-    sync_threshold: float = 0.5             # minimum normalized correlation peak
+    sync_threshold: float = SYNC_THRESHOLD_DEFAULT  # minimum normalized correlation peak
     min_errors: int = 100                   # confidence floor per reported BER point
     max_bits: int = 10_000_000              # bit budget per reported BER point
 
@@ -60,6 +65,15 @@ class SimConfig:
     power_grid_dbm: tuple = (-40.0, -38.0, -36.0, -34.0, -32.0, -30.0,
                              -28.0, -26.0, -24.0, -22.0, -20.0, -18.0, -16.0)
     rate_sweep_snr_db: float = 14.0         # fixed channel SNR for symbol-rate sweeps
+
+    def __post_init__(self) -> None:
+        if self.oversampling < 1:
+            raise ValueError("oversampling must be >= 1")
+        if not (math.isfinite(self.symbol_rate_hz) and self.symbol_rate_hz > 0):
+            raise ValueError("symbol_rate_hz must be finite and positive")
+        # The per-module objects validate their own fields.
+        for build in (self.curve, self.rc, self.geometry, self.layout, self.budget):
+            build()
 
     # glue: build the per-module objects this config describes
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
@@ -36,12 +37,16 @@ class SweepSpec:
     var: SweepVar
     values: tuple[float, ...]
     modes: tuple[TxMode, ...] = (TxMode.METASURFACE, TxMode.CONVENTIONAL)
-    trials: int = 1500
+    trials: int = SimConfig.trials
     master_seed: int = 271828
 
     def __post_init__(self) -> None:
         if len(self.values) == 0:
             raise ValueError("sweep needs at least one value")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError("sweep values must be finite")
+        if self.var is SweepVar.SYMBOL_RATE and min(self.values) <= 0:
+            raise ValueError("symbol rates must be positive")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
         if self.trials < 1:
@@ -76,7 +81,10 @@ def _channel_for(var: SweepVar, value: float, cfg: SimConfig, seed: int) -> Chan
 
 def run_trial(mode: TxMode, cfg: SimConfig, symbol_rate_hz: float,
               channel: ChannelConfig, seed: int):
-    """One frame through the chain; None when synchronization fails."""
+    """One frame through the chain: (received frame, link metrics).
+
+    Raises :class:`SyncError` when the receiver finds no frame.
+    """
     layout = cfg.layout()
     rng = np.random.default_rng(derive_seed(seed, "payload"))
     payload = rng.integers(0, 2, size=layout.payload_bits)
@@ -87,11 +95,8 @@ def run_trial(mode: TxMode, cfg: SimConfig, symbol_rate_hz: float,
         phase_offset_deg=cfg.phase_offset_deg, incident_amplitude=cfg.incident_amplitude,
     )
     rx = apply_channel(wave, replace(channel, seed=derive_seed(seed, "noise")))
-    try:
-        received = receive_frame(rx, layout, cfg.sync_threshold, cfg.phase_offset_deg)
-    except SyncError:
-        return None
-    return measure(received, payload, frame.data_symbols(), cfg.phase_offset_deg)
+    received = receive_frame(rx, layout, cfg.sync_threshold, cfg.phase_offset_deg)
+    return received, measure(received, payload, frame.data_symbols(), cfg.phase_offset_deg)
 
 
 @dataclass
@@ -125,9 +130,6 @@ class _PointAccumulator:
         self.sync_failures = 0
 
     def add(self, metrics) -> None:
-        if metrics is None:
-            self.sync_failures += 1
-            return
         self.frames += 1
         self.bits += metrics.bits_compared
         self.bit_errors += metrics.bit_errors
@@ -175,7 +177,12 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
             seed = derive_seed(master_seed, var.value, repr(float(value)), trial)
         else:
             seed = derive_seed(master_seed, mode.value, var.value, repr(float(value)), trial)
-        acc.add(run_trial(mode, cfg, symbol_rate, channel, seed))
+        try:
+            _, metrics = run_trial(mode, cfg, symbol_rate, channel, seed)
+        except SyncError:
+            acc.sync_failures += 1
+        else:
+            acc.add(metrics)
         if not paired and (acc.bit_errors >= min_errors or acc.bits >= max_bits):
             break
     tx_power = value if var is SweepVar.TX_POWER else None

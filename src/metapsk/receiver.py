@@ -11,20 +11,13 @@ the surface transmitter.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from .baseband import FrameLayout, Waveform, constellation, pilot_symbols, symbols_to_bits, sync_symbols
-
-# Confidence floor for a reported error rate: keep counting until this
-# many bit errors, or give up after this many bits and flag the point.
-MIN_BIT_ERRORS = 100
-MAX_BITS_PER_POINT = 10_000_000
 
 SYNC_THRESHOLD_DEFAULT = 0.5
 
@@ -194,26 +187,3 @@ def measure(received: ReceivedFrame, ref_bits: np.ndarray, ref_symbols: np.ndarr
         symbols_compared=n_syms,
     )
 
-
-METRICS_CSV_FIELDS = (
-    "mode",
-    "symbol_rate_hz",
-    "snr_db",
-    "tx_power_dbm",
-    "ber",
-    "ser",
-    "evm_rms_pct",
-    "est_snr_db",
-    "seed",
-)
-
-
-def append_metrics_csv(path, row: dict) -> None:
-    """Append one per-frame metrics record, writing the header on first use."""
-    path = str(path)
-    new_file = not os.path.exists(path)
-    with open(path, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRICS_CSV_FIELDS, extrasaction="ignore")
-        if new_file:
-            writer.writeheader()
-        writer.writerow({k: row.get(k, "") for k in METRICS_CSV_FIELDS})

@@ -15,14 +15,11 @@ from metapsk.baseband import (
     build_frame,
     constellation,
     data_rate_bps,
-    map_bits,
     pilot_symbols,
     pn_chips,
-    read_iq,
     sync_symbols,
     symbols_to_bits,
     synthesize,
-    write_iq,
 )
 from metapsk.cell import RcDynamics, VoltagePhaseCurve
 
@@ -46,7 +43,7 @@ def make_rc(tau_s, symbol_rate_hz, oversampling):
 class TestGrayMapping:
     def test_full_table(self):
         for bits, index in GRAY_TABLE.items():
-            assert map_bits(bits) == index
+            np.testing.assert_array_equal(bits_to_symbols(bits), [index])
 
     def test_roundtrip_all_symbols(self):
         symbols = np.arange(8)
@@ -60,9 +57,9 @@ class TestGrayMapping:
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
-            map_bits([0, 1])
+            bits_to_symbols([0, 1])
         with pytest.raises(ValueError):
-            map_bits([0, 1, 2])
+            bits_to_symbols([0, 1, 2])
         with pytest.raises(ValueError):
             bits_to_symbols([0, 1, 0, 1])
         with pytest.raises(ValueError):
@@ -223,33 +220,3 @@ class TestSynthesize:
     def test_waveform_requires_integer_oversampling(self):
         with pytest.raises(ValueError):
             Waveform(np.zeros(4, dtype=complex), 3e6, 2e6, TxMode.CONVENTIONAL)
-
-
-class TestIqFiles:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        layout = FrameLayout()
-        frame = build_frame(rng.integers(0, 2, size=layout.payload_bits), layout)
-        rc = make_rc(0.0, 2.048e6, 8)
-        wave = synthesize(frame, TxMode.METASURFACE, VoltagePhaseCurve(), rc)
-        path = tmp_path / "frame.iq"
-        write_iq(path, wave)
-        back = read_iq(path)
-        assert back.mode is TxMode.METASURFACE
-        assert back.sample_rate_hz == wave.sample_rate_hz
-        assert back.symbol_rate_hz == wave.symbol_rate_hz
-        np.testing.assert_allclose(back.samples, wave.samples, atol=1e-6)
-
-    def test_sidecar_is_json(self, tmp_path):
-        import json
-
-        layout = FrameLayout(sync_len=8, pilot_len=8, data_len=8)
-        frame = build_frame(np.zeros(layout.payload_bits, dtype=int), layout)
-        rc = make_rc(0.0, 1e6, 4)
-        wave = synthesize(frame, TxMode.CONVENTIONAL, VoltagePhaseCurve(), rc, oversampling=4, symbol_rate_hz=1e6)
-        path = tmp_path / "w.iq"
-        write_iq(path, wave)
-        with open(str(path) + ".json") as fh:
-            meta = json.load(fh)
-        assert meta["mode"] == "conventional"
-        assert meta["sample_rate_hz"] == 4e6

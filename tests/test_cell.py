@@ -12,7 +12,6 @@ from metapsk.cell import (
     RcDynamics,
     VoltagePhaseCurve,
     Z0_FREE_SPACE,
-    bias_points_for_8psk,
     bias_voltage_table,
     rc_step,
     reflection_coefficient,
@@ -124,21 +123,23 @@ class TestBiasTable:
 
     def test_offset_shifts_table(self):
         curve = VoltagePhaseCurve()
-        points = bias_points_for_8psk(curve, phase_offset_deg=-135.0)
-        assert points[0].voltage == pytest.approx(2.5, abs=1e-12)
-        assert points[0].target_phase_deg == -135.0
+        table = bias_voltage_table(curve, phase_offset_deg=-135.0)
+        assert table[0] == pytest.approx(2.5, abs=1e-12)
+        assert curve.phase_deg(table[0]) == pytest.approx(-135.0, abs=1e-12)
 
     def test_symbol_indices_cover_all_eight(self):
+        """Index k of the table realizes phase offset + 45k, for all eight k."""
         curve = VoltagePhaseCurve()
-        points = bias_points_for_8psk(curve)
-        assert [p.symbol_index for p in points] == list(range(8))
+        table = bias_voltage_table(curve, phase_offset_deg=-180.0)
+        assert table.shape == (8,)
+        np.testing.assert_allclose(curve.phase_deg(table), -180.0 + PSK_STEP_DEG * np.arange(8),
+                                   atol=1e-12)
 
     @given(offset=st.floats(min_value=-360.0, max_value=360.0))
     def test_pairwise_phase_separation(self, offset):
         """Realized phases of adjacent table rows differ by 45 deg mod 360."""
         curve = VoltagePhaseCurve()
-        points = bias_points_for_8psk(curve, phase_offset_deg=offset)
-        phases = np.array([curve.phase_deg(p.voltage) for p in points])
+        phases = curve.phase_deg(bias_voltage_table(curve, phase_offset_deg=offset))
         diffs = (np.diff(phases) - PSK_STEP_DEG) % 360.0
         diffs = np.minimum(diffs, 360.0 - diffs)
         np.testing.assert_allclose(diffs, 0.0, atol=1e-9)
@@ -147,17 +148,17 @@ class TestBiasTable:
     def test_voltages_ordered_along_branch(self, offset):
         """Sorting targets by branch position sorts the voltages strictly."""
         curve = VoltagePhaseCurve()
-        points = bias_points_for_8psk(curve, phase_offset_deg=offset)
-        branch = [(p.target_phase_deg - curve.phase_at_vmin_deg) % 360.0 for p in points]
-        volts = np.array([p.voltage for p in points])[np.argsort(branch)]
+        targets = offset + PSK_STEP_DEG * np.arange(8)
+        branch = (targets - curve.phase_at_vmin_deg) % 360.0
+        volts = bias_voltage_table(curve, phase_offset_deg=offset)[np.argsort(branch)]
         assert np.all(np.diff(volts) > 0.0)
 
     @given(offset=st.floats(min_value=-360.0, max_value=360.0), k=st.integers(0, 7))
     def test_composition_hits_ideal_constellation(self, offset, k):
         """Bias table + unit-amplitude curve reproduce exp(j(offset + 45k))."""
         curve = VoltagePhaseCurve(amplitude=1.0)
-        point = bias_points_for_8psk(curve, phase_offset_deg=offset)[k]
-        got = voltage_to_reflection(curve, point.voltage)
+        voltage = bias_voltage_table(curve, phase_offset_deg=offset)[k]
+        got = voltage_to_reflection(curve, voltage)
         want = np.exp(1j * np.deg2rad(offset + k * PSK_STEP_DEG))
         np.testing.assert_allclose(got, want, atol=1e-12)
 

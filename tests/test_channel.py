@@ -13,11 +13,8 @@ from metapsk.channel import (
     ChannelConfig,
     LossBudget,
     apply_channel,
-    fixed_snr,
-    power_budget,
     realized_snr_db,
     snr_from_eb_n0_db,
-    snr_per_bit_db,
 )
 
 
@@ -41,19 +38,19 @@ class TestConfig:
             LossBudget(reflectivity_loss_db=-0.1)
 
     def test_power_budget_snr_arithmetic(self):
-        cfg = power_budget(-22.0, seed=0, link_loss_db=50.0, noise_floor_dbm=-95.0)
+        cfg = ChannelConfig(seed=0, tx_power_dbm=-22.0, link_loss_db=50.0, noise_floor_dbm=-95.0)
         assert realized_snr_db(cfg, TxMode.CONVENTIONAL) == pytest.approx(-22.0 - 50.0 + 95.0)
 
     def test_budget_charged_to_surface_mode_only(self):
-        cfg = power_budget(-22.0, seed=0)
+        cfg = ChannelConfig(seed=0, tx_power_dbm=-22.0)
         conv = realized_snr_db(cfg, TxMode.CONVENTIONAL)
         surf = realized_snr_db(cfg, TxMode.METASURFACE)
         assert conv - surf == pytest.approx(6.0, abs=1e-12)
 
     @given(delta=st.floats(min_value=0.0, max_value=40.0))
     def test_power_steps_move_snr_exactly(self, delta):
-        lo = power_budget(-40.0, seed=0)
-        hi = power_budget(-40.0 + delta, seed=0)
+        lo = ChannelConfig(seed=0, tx_power_dbm=-40.0)
+        hi = ChannelConfig(seed=0, tx_power_dbm=-40.0 + delta)
         for mode in TxMode:
             assert realized_snr_db(hi, mode) - realized_snr_db(lo, mode) == pytest.approx(delta, abs=1e-12)
 
@@ -61,24 +58,24 @@ class TestConfig:
 class TestApplyChannel:
     def test_noise_disabled_passthrough(self):
         wave = unit_wave(1000)
-        out = apply_channel(wave, fixed_snr(math.inf, seed=1))
+        out = apply_channel(wave, ChannelConfig(seed=1, snr_db=math.inf))
         np.testing.assert_array_equal(out.samples, wave.samples)
 
     def test_zero_power_rejected(self):
         wave = Waveform(np.zeros(16, dtype=complex), 1e6, 1e6, TxMode.CONVENTIONAL)
         with pytest.raises(ValueError):
-            apply_channel(wave, fixed_snr(10.0, seed=1))
+            apply_channel(wave, ChannelConfig(seed=1, snr_db=10.0))
 
     def test_fixed_snr_noise_power(self):
         """At 0 dB SNR on a unit-power signal the noise variance is 1."""
         wave = unit_wave(1_000_000)
-        out = apply_channel(wave, fixed_snr(0.0, seed=7))
+        out = apply_channel(wave, ChannelConfig(seed=7, snr_db=0.0))
         noise = out.samples - wave.samples
         assert np.mean(np.abs(noise) ** 2) == pytest.approx(1.0, rel=0.01)
 
     def test_noise_is_zero_mean_circular(self):
         wave = unit_wave(1_000_000)
-        out = apply_channel(wave, fixed_snr(0.0, seed=3))
+        out = apply_channel(wave, ChannelConfig(seed=3, snr_db=0.0))
         noise = out.samples - wave.samples
         n = noise.size
         # mean and I/Q cross-correlation within 4 sigma of zero
@@ -88,15 +85,15 @@ class TestApplyChannel:
 
     def test_seeded_noise_reproduces(self):
         wave = unit_wave(10_000)
-        a = apply_channel(wave, fixed_snr(5.0, seed=42))
-        b = apply_channel(wave, fixed_snr(5.0, seed=42))
+        a = apply_channel(wave, ChannelConfig(seed=42, snr_db=5.0))
+        b = apply_channel(wave, ChannelConfig(seed=42, snr_db=5.0))
         np.testing.assert_array_equal(a.samples, b.samples)
-        c = apply_channel(wave, fixed_snr(5.0, seed=43))
+        c = apply_channel(wave, ChannelConfig(seed=43, snr_db=5.0))
         assert np.any(c.samples != a.samples)
 
     def test_power_budget_realizes_target_snr(self):
         wave = unit_wave(1_000_000)
-        cfg = power_budget(-30.0, seed=5, link_loss_db=50.0, noise_floor_dbm=-95.0)
+        cfg = ChannelConfig(seed=5, tx_power_dbm=-30.0, link_loss_db=50.0, noise_floor_dbm=-95.0)
         out = apply_channel(wave, cfg)
         target = realized_snr_db(cfg, TxMode.CONVENTIONAL)
         sig_power = np.abs(np.mean(out.samples)) ** 2  # constant signal survives averaging
@@ -106,7 +103,7 @@ class TestApplyChannel:
 
     def test_budget_costs_surface_waveform_6_db(self):
         n = 1_000_000
-        cfg = power_budget(-30.0, seed=5)
+        cfg = ChannelConfig(seed=5, tx_power_dbm=-30.0)
         conv = apply_channel(unit_wave(n, TxMode.CONVENTIONAL), cfg)
         surf = apply_channel(unit_wave(n, TxMode.METASURFACE), cfg)
         p_conv = np.abs(np.mean(conv.samples)) ** 2
@@ -115,7 +112,7 @@ class TestApplyChannel:
 
     def test_metadata_preserved(self):
         wave = unit_wave(100, TxMode.METASURFACE)
-        out = apply_channel(wave, fixed_snr(20.0, seed=0))
+        out = apply_channel(wave, ChannelConfig(seed=0, snr_db=20.0))
         assert out.mode is TxMode.METASURFACE
         assert out.sample_rate_hz == wave.sample_rate_hz
         assert out.symbol_rate_hz == wave.symbol_rate_hz
@@ -123,17 +120,20 @@ class TestApplyChannel:
 
 class TestSnrPerBit:
     def test_single_sample_per_symbol(self):
-        assert snr_per_bit_db(0.0, 1) == pytest.approx(-4.771, abs=5e-4)
+        assert snr_from_eb_n0_db(-4.771, 1) == pytest.approx(0.0, abs=5e-4)
 
     def test_oversampled(self):
-        assert snr_per_bit_db(10.0, 8) == pytest.approx(14.260, abs=5e-4)
+        assert snr_from_eb_n0_db(14.260, 8) == pytest.approx(10.0, abs=5e-4)
 
     def test_inverse(self):
-        assert snr_from_eb_n0_db(snr_per_bit_db(7.25, 8), 8) == pytest.approx(7.25, abs=1e-12)
+        """Symbol energy (ovs samples) spread over 3 bits gives back Eb/N0."""
+        snr = snr_from_eb_n0_db(7.25, 8)
+        assert 10.0 * math.log10(10.0 ** (snr / 10.0) * 8 / 3) == pytest.approx(7.25, abs=1e-12)
 
-    @given(snr=st.floats(-20.0, 40.0), ovs=st.integers(1, 64))
-    def test_roundtrip_any_oversampling(self, snr, ovs):
-        assert snr_from_eb_n0_db(snr_per_bit_db(snr, ovs), ovs) == pytest.approx(snr, abs=1e-9)
+    @given(eb_n0=st.floats(-20.0, 40.0), ovs=st.integers(1, 64))
+    def test_roundtrip_any_oversampling(self, eb_n0, ovs):
+        snr = snr_from_eb_n0_db(eb_n0, ovs)
+        assert 10.0 ** (snr / 10.0) * ovs / 3 == pytest.approx(10.0 ** (eb_n0 / 10.0), rel=1e-9)
 
     def test_reflectivity_loss_value(self):
         assert REFLECTIVITY_LOSS_DB == pytest.approx(10.0 * math.log10(1.0 / 0.85), rel=1e-12)

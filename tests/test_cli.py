@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -62,10 +63,17 @@ class TestSweep:
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
 
     def test_decreasing_values_rejected(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "sweep", "--var", "snr", "--values", "8", "4",
-                               "--trials", "1", "--out", str(tmp_path))
-        assert code == 1
-        assert "increasing" in json.loads(err)["error"]
+        for var, values, message in (
+            ("snr", ["8", "4"], "increasing"),
+            ("snr", ["nan"], "finite"),
+            ("power", ["-30", "inf"], "finite"),
+            ("rate", ["0", "1e6"], "positive"),
+        ):
+            code, _, err = run_cli(capsys, "sweep", "--var", var, "--values", *values,
+                                   "--trials", "1", "--out", str(tmp_path))
+            assert code == 1
+            assert message in json.loads(err)["error"]
+        assert not (tmp_path / "results.csv").exists()
 
     def test_missing_var_is_a_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -80,6 +88,21 @@ class TestSweep:
                                "--trials", "1", "--config", str(bad), "--out", str(tmp_path))
         assert code == 1
         assert "unknown key" in json.loads(err)["error"]
+
+    def test_bad_config_value_reported(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        for line, message in (
+            ("oversampling = 0", "oversampling"),
+            ("symbol_rate_hz = 0", "symbol_rate_hz"),
+            ("symbol_rate_hz = nan", "symbol_rate_hz"),
+            ("tau_s = -1e-9", "tau_s"),
+            ("rows = 0", "grid"),
+        ):
+            bad.write_text(line + "\n")
+            code, _, err = run_cli(capsys, "sweep", "--var", "snr", "--values", "6",
+                                   "--trials", "1", "--config", str(bad), "--out", str(tmp_path))
+            assert code == 1, line
+            assert message in json.loads(err)["error"], line
 
 
 class TestCompare:
@@ -131,9 +154,45 @@ class TestConstellation:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_sync_failure_reported(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "constellation", "--power", "-75",
+                                 "--out", str(tmp_path / "iq.csv"))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "below threshold" in json.loads(err)["error"]
+
     def test_snr_and_power_are_exclusive(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["constellation", "--snr", "10", "--power", "-30",
                   "--out", str(tmp_path / "iq.csv")])
         assert exc.value.code == 2
         assert "error" in json.loads(capsys.readouterr().err)
+
+
+# sha256 of the artifacts at --seed 11.  Any change to the numbers, the
+# CSV/JSON formatting or the config defaults shows up here; update the
+# digests only for a change that is meant to alter the artifacts.
+ARTIFACT_SHA256 = {
+    "snr/results.csv": "61e57e6cf7b97e3ff9ba5ac059449a18675f609ac484a198a244721af4efdab3",
+    "snr/manifest.json": "702fc211449cbc99a0c691494f0d71e0a92d09c60690be3ec97a77d9091e9bcb",
+    "rate/results.csv": "07e64ad42e34963a30bf1b3b4623212d94bc066f7192d603801c0d56e84f6866",
+    "rate/manifest.json": "4551d49710ef53de29ae23f10af3103f41c099313f393b1cdb16eebc005851d2",
+    "power/results.csv": "6d1826eed95e79f392d7e63a53df83db8bf0d56289642adf22fb81276d97288d",
+    "power/manifest.json": "b994f1c2dd128a64d44ce8a4422256789ab260893e6b559287719ad6f10d06d5",
+    "constellation_power.csv": "c5ec01a0d30a6813a58368ac67a0fd9077e100c35720f1860e53462f65bafd72",
+    "constellation_snr.csv": "61f65bfa1f24e4f858c3b79dbfd1fa35c8327adfeb805d3abd7e5f465ecf4915",
+}
+
+
+def test_artifacts_match_pinned_digests(capsys, tmp_path):
+    for var in ("snr", "rate", "power"):
+        assert main(["sweep", "--var", var, "--trials", "2", "--seed", "11",
+                     "--out", str(tmp_path / var)]) == 0
+    for name, flag, value in (("power", "--power", "-30"), ("snr", "--snr", "15")):
+        assert main(["constellation", flag, value, "--seed", "11",
+                     "--out", str(tmp_path / f"constellation_{name}.csv")]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in ARTIFACT_SHA256}
+    assert got == ARTIFACT_SHA256

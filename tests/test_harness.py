@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metapsk.baseband import TxMode
+from metapsk.channel import ChannelConfig
 from metapsk.config import SimConfig
 from helpers import loglinear_curve, synthetic_point
 from metapsk.harness import (
@@ -55,6 +56,13 @@ class TestSweepSpec:
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError):
             SweepSpec(SweepVar.SNR, values=())
+
+    def test_rejects_non_finite_values_and_non_positive_rates(self):
+        for values in ((1.0, math.nan, 2.0), (math.nan,), (1.0, math.inf), (-math.inf, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                SweepSpec(SweepVar.SNR, values=values)
+        with pytest.raises(ValueError, match="positive"):
+            SweepSpec(SweepVar.SYMBOL_RATE, values=(0.0, 1e6))
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
@@ -129,18 +137,12 @@ class TestRateInvariance:
     ])
     def test_trial_metrics_identical_across_rates(self, mode, tau_s):
         cfg = fast_cfg(tau_s=tau_s)
-        channel = _fixed(snr_db=8.0)
-        a = run_trial(mode, cfg, 256e3, channel, seed=33)
-        b = run_trial(mode, cfg, 4096e3, channel, seed=33)
+        channel = ChannelConfig(seed=0, snr_db=8.0)
+        _, a = run_trial(mode, cfg, 256e3, channel, seed=33)
+        _, b = run_trial(mode, cfg, 4096e3, channel, seed=33)
         assert a.bit_errors == b.bit_errors
         assert a.symbol_errors == b.symbol_errors
         assert a.evm_rms_pct == pytest.approx(b.evm_rms_pct, rel=1e-9)
-
-
-def _fixed(snr_db):
-    from metapsk.channel import fixed_snr
-
-    return fixed_snr(snr_db, seed=0)
 
 
 class TestPairedSeeding:

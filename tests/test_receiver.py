@@ -18,13 +18,12 @@ from metapsk.baseband import (
     symbols_to_bits,
     sync_symbols,
 )
-from metapsk.channel import apply_channel, fixed_snr, snr_from_eb_n0_db
+from metapsk.channel import ChannelConfig, apply_channel, snr_from_eb_n0_db
 from metapsk.receiver import (
     ChannelEstimate,
     ReceivedFrame,
     SyncError,
     SyncResult,
-    append_metrics_csv,
     demodulate,
     estimate_channel,
     measure,
@@ -58,7 +57,7 @@ class TestSynchronize:
     def test_known_offset_recovered(self):
         _, _, wave = frame_wave(2)
         padded = replace(wave, samples=np.concatenate([np.zeros(1000, dtype=complex), wave.samples]))
-        noisy = apply_channel(padded, fixed_snr(20.0, seed=5))
+        noisy = apply_channel(padded, ChannelConfig(seed=5, snr_db=20.0))
         assert synchronize(noisy, sync_symbols(64)).frame_start == 1000
 
     def test_zero_energy_padding_handled(self):
@@ -90,7 +89,7 @@ class TestSynchronize:
         hits = 0
         trials = 1000
         for t in range(trials):
-            noisy = apply_channel(wave, fixed_snr(10.0, seed=10_000 + t))
+            noisy = apply_channel(wave, ChannelConfig(seed=10_000 + t, snr_db=10.0))
             if synchronize(noisy, sync_symbols(64)).frame_start == 0:
                 hits += 1
         assert hits >= 990
@@ -207,7 +206,7 @@ class TestReceiveFrame:
 
     def test_est_snr_tracks_channel(self):
         _, _, wave = frame_wave(25)
-        noisy = apply_channel(wave, fixed_snr(15.0, seed=99))
+        noisy = apply_channel(wave, ChannelConfig(seed=99, snr_db=15.0))
         received = receive_frame(noisy)
         assert received.est_snr_db == pytest.approx(15.0, abs=1.5)
 
@@ -222,7 +221,7 @@ class TestReceiveFrame:
         errors = []
         for seed in range(200):
             _, _, wave = frame_wave(27 + seed, oversampling=1)
-            noisy = apply_channel(wave, fixed_snr(snr_db, seed=seed))
+            noisy = apply_channel(wave, ChannelConfig(seed=seed, snr_db=snr_db))
             errors.append(receive_frame(noisy).estimate.gain - 1.0)
         mse = float(np.mean(np.abs(errors) ** 2))
         expected = 10.0 ** (-snr_db / 10.0) / 96.0
@@ -303,25 +302,3 @@ class TestBerAnchor:
         expect = union_bound_ber(eb_n0_db)
         assert ber == pytest.approx(expect, rel=0.15)
         assert ber == pytest.approx(ser / 3.0, rel=0.20)
-
-
-class TestMetricsCsv:
-    def test_append_creates_header_once(self, tmp_path):
-        path = tmp_path / "frames.csv"
-        row = {
-            "mode": "conventional",
-            "symbol_rate_hz": 2.048e6,
-            "snr_db": 10.0,
-            "tx_power_dbm": "",
-            "ber": 1e-3,
-            "ser": 3e-3,
-            "evm_rms_pct": 12.5,
-            "est_snr_db": 9.8,
-            "seed": 7,
-        }
-        append_metrics_csv(path, row)
-        append_metrics_csv(path, row)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 3
-        assert lines[0].startswith("mode,symbol_rate_hz,snr_db")
-        assert lines[1] == lines[2]
