@@ -5,7 +5,9 @@ emits ideal unit-magnitude constellation points.  The surface model drives
 a shared bias line through a first-order lag and reflects the carrier off
 the cell grid, so its samples carry the cell amplitude and the finite
 settling of the bias line.  Pulses are rectangular; each symbol is held
-for ``oversampling`` samples and no shaping filter is applied.
+for ``oversampling`` samples and no shaping filter is applied.  The
+symbol rate enters only through the bias lag's sample period
+(:class:`RcDynamics`); the samples themselves carry no rate.
 
 Symbols are plain integer indices 0..7; the transmitted phase of index k
 is ``phase_offset_deg + k * 45 deg``.
@@ -96,12 +98,12 @@ def pn_chips(length: int, taps=SYNC_LFSR_TAPS, seed: int = SYNC_LFSR_SEED) -> np
     return np.tile(np.array(chips, dtype=np.int64), reps)[:length]
 
 
-def sync_symbols(length: int = 64) -> np.ndarray:
+def sync_symbols(length: int) -> np.ndarray:
     """Symbol indices of the sync subframe (antipodal pair 0 / 4)."""
     return pn_chips(length) * 4
 
 
-def pilot_symbols(length: int = 32) -> np.ndarray:
+def pilot_symbols(length: int) -> np.ndarray:
     """Symbol indices of the pilot subframe, cycling all eight points."""
     return np.arange(length, dtype=np.int64) % 8
 
@@ -170,22 +172,16 @@ def data_rate_bps(symbol_rate_hz: float) -> float:
 
 @dataclass(frozen=True)
 class Waveform:
-    """Complex baseband samples plus the metadata needed to process them."""
+    """Complex baseband samples, ``oversampling`` per symbol, from one transmitter."""
 
     samples: np.ndarray
-    sample_rate_hz: float
-    symbol_rate_hz: float
+    oversampling: int
     mode: TxMode
 
     def __post_init__(self) -> None:
-        ratio = self.sample_rate_hz / self.symbol_rate_hz
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ValueError("sample rate must be an integer multiple of symbol rate")
+        if self.oversampling < 1:
+            raise ValueError("oversampling must be >= 1")
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
-
-    @property
-    def oversampling(self) -> int:
-        return int(round(self.sample_rate_hz / self.symbol_rate_hz))
 
 
 def synthesize(
@@ -193,24 +189,18 @@ def synthesize(
     mode: TxMode,
     curve: VoltagePhaseCurve,
     rc: RcDynamics,
-    oversampling: int = 8,
-    symbol_rate_hz: float = 2.048e6,
+    oversampling: int,
     phase_offset_deg: float = 0.0,
     incident_amplitude: float = 1.0,
 ) -> Waveform:
     """Render a frame to baseband samples under the selected transmitter.
 
-    ``rc.sample_period_s`` must equal 1 / (symbol_rate * oversampling);
-    passing the lag explicitly keeps the control-rate bookkeeping visible
-    at the call site.
+    The caller builds ``rc`` for the symbol rate, with a sample period
+    of 1 / (symbol_rate * oversampling); the lag is the only place the
+    symbol rate acts on the samples.
     """
     if oversampling < 1:
         raise ValueError("oversampling must be >= 1")
-    sample_rate = symbol_rate_hz * oversampling
-    expected_period = 1.0 / sample_rate
-    if abs(rc.sample_period_s - expected_period) > 1e-6 * expected_period:
-        raise ValueError("rc.sample_period_s does not match symbol rate and oversampling")
-
     if mode is TxMode.CONVENTIONAL:
         points = constellation(phase_offset_deg)
         samples = np.repeat(points[frame.symbols], oversampling)
@@ -221,5 +211,4 @@ def synthesize(
         samples = uniform_reflection(curve, trajectory, incident_amplitude)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return Waveform(samples, sample_rate, symbol_rate_hz, mode)
-
+    return Waveform(samples, oversampling, mode)

@@ -13,6 +13,9 @@ Surface-mode waveforms are charged an extra loss in power-budget mode:
 the cells return only part of the incident power, and reflection
 modulation spends carrier power that a dedicated amplifier chain would
 deliver to the antenna.  Both terms live in :class:`LossBudget`.
+
+The noise seed is an argument of :func:`apply_channel`, not part of the
+channel: the same config and seed reproduce the output.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ class LossBudget:
 class ChannelConfig:
     """Either ``snr_db`` (fixed SNR) or ``tx_power_dbm`` (power budget)."""
 
-    seed: int
     snr_db: float | None = None
     tx_power_dbm: float | None = None
     link_loss_db: float = 50.0
@@ -73,11 +75,11 @@ def realized_snr_db(cfg: ChannelConfig, mode: TxMode) -> float:
     return cfg.tx_power_dbm - loss - cfg.noise_floor_dbm
 
 
-def apply_channel(wave: Waveform, cfg: ChannelConfig) -> Waveform:
+def apply_channel(wave: Waveform, cfg: ChannelConfig, seed: int) -> Waveform:
     """Scale the waveform per the channel config and add complex AWGN.
 
-    Noise is circularly symmetric and seeded: the same config on the same
-    waveform reproduces the output exactly.
+    Noise is circularly symmetric and drawn from ``seed``: the same
+    config and seed on the same waveform reproduce the output exactly.
     """
     x = wave.samples
     p_in = float(np.mean(np.abs(x) ** 2))
@@ -96,7 +98,7 @@ def apply_channel(wave: Waveform, cfg: ChannelConfig) -> Waveform:
         gain = math.sqrt(p_rx / p_in)
         noise_power = 10.0 ** (cfg.noise_floor_dbm / 10.0)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     scale = math.sqrt(noise_power / 2.0)
     noise = scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
     return replace(wave, samples=gain * x + noise)

@@ -98,9 +98,9 @@ def cmd_constellation(args) -> int:
     cfg = _config(args)
     mode = TxMode(args.mode)
     if args.power is not None:
-        channel = _channel_for(SweepVar.TX_POWER, args.power, cfg, seed=0)
+        channel = _channel_for(SweepVar.TX_POWER, args.power, cfg)
     else:
-        channel = _channel_for(SweepVar.SNR, args.snr, cfg, seed=0)
+        channel = _channel_for(SweepVar.SNR, args.snr, cfg)
     received, metrics = run_trial(mode, cfg, cfg.symbol_rate_hz, channel, args.seed)
 
     with open(args.out, "w", newline="") as fh:

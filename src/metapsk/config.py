@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import get_args, get_origin
 
 from .baseband import FrameLayout
 from .cell import RcDynamics, VoltagePhaseCurve
@@ -95,23 +94,16 @@ class SimConfig:
         return LossBudget(self.reflectivity_loss_db, self.modulation_excess_loss_db)
 
 
-def _parse_value(text: str, annotation):
-    if annotation is int:
-        return int(text)
-    if annotation is float:
-        return float(text)
-    if annotation is tuple or get_origin(annotation) is tuple:
-        parts = [p for p in (s.strip() for s in text.split(",")) if p]
-        args = get_args(annotation)
-        elem = args[0] if args else float
-        return tuple(elem(p) for p in parts)
-    raise TypeError(f"unsupported config field type {annotation!r}")
+def _parse_value(text: str, default):
+    """Parse ``text`` as the type of the field's default value."""
+    if isinstance(default, tuple):
+        return tuple(float(p) for p in (s.strip() for s in text.split(",")) if p)
+    return type(default)(text)
 
 
 def load_config(path) -> SimConfig:
     """Parse a key = value file into a SimConfig; unknown keys fail loudly."""
-    known = {f.name: f.type for f in fields(SimConfig)}
-    types = {"int": int, "float": float, "tuple": tuple}
+    defaults = {f.name: f.default for f in fields(SimConfig)}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -122,12 +114,9 @@ def load_config(path) -> SimConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, text = line.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in defaults:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            annotation = known[key]
-            if isinstance(annotation, str):
-                annotation = types.get(annotation, float)
-            values[key] = _parse_value(text.strip(), annotation)
+            values[key] = _parse_value(text.strip(), defaults[key])
     return SimConfig(**values)
 
 

@@ -12,8 +12,9 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
+from typing import get_type_hints
 
 import numpy as np
 
@@ -43,6 +44,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if len(self.values) == 0:
             raise ValueError("sweep needs at least one value")
+        if len(self.modes) == 0 or len(set(self.modes)) != len(self.modes):
+            raise ValueError("sweep modes must be non-empty and distinct")
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("sweep values must be finite")
         if self.var is SweepVar.SYMBOL_RATE and min(self.values) <= 0:
@@ -69,9 +72,9 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _channel_for(var: SweepVar, value: float, cfg: SimConfig, seed: int) -> ChannelConfig:
-    common = dict(seed=seed, link_loss_db=cfg.link_loss_db,
-                  noise_floor_dbm=cfg.noise_floor_dbm, budget=cfg.budget())
+def _channel_for(var: SweepVar, value: float, cfg: SimConfig) -> ChannelConfig:
+    common = dict(link_loss_db=cfg.link_loss_db, noise_floor_dbm=cfg.noise_floor_dbm,
+                  budget=cfg.budget())
     if var is SweepVar.TX_POWER:
         return ChannelConfig(tx_power_dbm=value, **common)
     if var is SweepVar.SNR:
@@ -90,19 +93,20 @@ def run_trial(mode: TxMode, cfg: SimConfig, symbol_rate_hz: float,
     payload = rng.integers(0, 2, size=layout.payload_bits)
     frame = build_frame(payload, layout)
     wave = synthesize(
-        frame, mode, cfg.curve(), cfg.rc(symbol_rate_hz),
-        oversampling=cfg.oversampling, symbol_rate_hz=symbol_rate_hz,
+        frame, mode, cfg.curve(), cfg.rc(symbol_rate_hz), cfg.oversampling,
         phase_offset_deg=cfg.phase_offset_deg, incident_amplitude=cfg.incident_amplitude,
     )
-    rx = apply_channel(wave, replace(channel, seed=derive_seed(seed, "noise")))
+    rx = apply_channel(wave, channel, derive_seed(seed, "noise"))
     received = receive_frame(rx, layout, cfg.sync_threshold, cfg.phase_offset_deg)
     return received, measure(received, payload, frame.data_symbols(), cfg.phase_offset_deg)
 
 
 @dataclass
 class PointResult:
+    """One sweep point; the fields are the columns of ``results.csv``, in order."""
+
     mode: TxMode
-    var: SweepVar
+    sweep_var: SweepVar
     value: float
     symbol_rate_hz: float
     snr_db: float
@@ -138,12 +142,12 @@ class _PointAccumulator:
         self.evm_sq_sum += metrics.evm_rms_pct**2 * metrics.symbols_compared
         self.snr_lin_sum += 10.0 ** (metrics.est_snr_db / 10.0)
 
-    def result(self, mode, var, value, symbol_rate_hz, snr_db, tx_power_dbm, min_errors) -> PointResult:
+    def result(self, mode, sweep_var, value, symbol_rate_hz, snr_db, tx_power_dbm, min_errors) -> PointResult:
         bits = max(self.bits, 1)
         symbols = max(self.symbols, 1)
         est_snr = 10.0 * np.log10(self.snr_lin_sum / self.frames) if self.frames else float("nan")
         return PointResult(
-            mode=mode, var=var, value=value, symbol_rate_hz=symbol_rate_hz,
+            mode=mode, sweep_var=sweep_var, value=value, symbol_rate_hz=symbol_rate_hz,
             snr_db=snr_db, tx_power_dbm=tx_power_dbm,
             ber=self.bit_errors / bits, ser=self.symbol_errors / symbols,
             evm_rms_pct=float(np.sqrt(self.evm_sq_sum / symbols)),
@@ -168,7 +172,7 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
     min_errors = cfg.min_errors if min_errors is None else min_errors
     max_bits = cfg.max_bits if max_bits is None else max_bits
     symbol_rate = value if var is SweepVar.SYMBOL_RATE else cfg.symbol_rate_hz
-    channel = _channel_for(var, value, cfg, seed=0)
+    channel = _channel_for(var, value, cfg)
     snr = realized_snr_db(channel, mode)
 
     acc = _PointAccumulator()
@@ -211,59 +215,32 @@ def run_paired_point(var: SweepVar, value: float, cfg: SimConfig, master_seed: i
     }
 
 
-RESULTS_CSV_FIELDS = (
-    "mode", "sweep_var", "value", "symbol_rate_hz", "snr_db", "tx_power_dbm",
-    "ber", "ser", "evm_rms_pct", "est_snr_db",
-    "bits", "bit_errors", "frames", "sync_failures", "low_confidence",
-)
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+# (format, parse) for each field type of PointResult.
+_CSV_CODECS = {
+    TxMode: (lambda x: x.value, TxMode),
+    SweepVar: (lambda x: x.value, SweepVar),
+    float: (lambda x: repr(float(x)), float),
+    float | None: (lambda x: "" if x is None else repr(float(x)), lambda s: float(s) if s else None),
+    int: (str, int),
+    bool: (lambda x: "1" if x else "0", lambda s: s == "1"),
+}
+# column name -> (format, parse), in PointResult's field order
+_CSV_COLUMNS = {name: _CSV_CODECS[kind] for name, kind in get_type_hints(PointResult).items()}
 
 
 def write_results_csv(path, results: list[PointResult]) -> None:
     """Deterministic result table: same results, same bytes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_CSV_FIELDS)
+        writer.writerow(_CSV_COLUMNS)
         for r in results:
-            writer.writerow([
-                r.mode.value, r.var.value, _fmt(float(r.value)), _fmt(float(r.symbol_rate_hz)),
-                _fmt(float(r.snr_db)), _fmt(r.tx_power_dbm if r.tx_power_dbm is None else float(r.tx_power_dbm)),
-                _fmt(float(r.ber)), _fmt(float(r.ser)), _fmt(float(r.evm_rms_pct)), _fmt(float(r.est_snr_db)),
-                r.bits, r.bit_errors, r.frames, r.sync_failures, _fmt(r.low_confidence),
-            ])
+            writer.writerow([fmt(getattr(r, name)) for name, (fmt, _) in _CSV_COLUMNS.items()])
 
 
 def read_results_csv(path) -> list[PointResult]:
-    results = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            results.append(PointResult(
-                mode=TxMode(row["mode"]),
-                var=SweepVar(row["sweep_var"]),
-                value=float(row["value"]),
-                symbol_rate_hz=float(row["symbol_rate_hz"]),
-                snr_db=float(row["snr_db"]),
-                tx_power_dbm=float(row["tx_power_dbm"]) if row["tx_power_dbm"] else None,
-                ber=float(row["ber"]),
-                ser=float(row["ser"]),
-                evm_rms_pct=float(row["evm_rms_pct"]),
-                est_snr_db=float(row["est_snr_db"]),
-                bits=int(row["bits"]),
-                bit_errors=int(row["bit_errors"]),
-                frames=int(row["frames"]),
-                sync_failures=int(row["sync_failures"]),
-                low_confidence=row["low_confidence"] == "1",
-            ))
-    return results
+        return [PointResult(**{name: parse(row[name]) for name, (_, parse) in _CSV_COLUMNS.items()})
+                for row in csv.DictReader(fh)]
 
 
 def write_manifest(path, spec: SweepSpec, cfg: SimConfig) -> None:
@@ -336,12 +313,17 @@ def _crossing(points: list[PointResult], target: float) -> float | None:
 def compare_modes(results: list[PointResult], targets=(1e-2, 3e-3, 1e-3)) -> list[ModeGap]:
     """Horizontal dB gap (metasurface minus conventional) at target BERs.
 
-    Expects SNR- or power-sweep results covering both modes.
+    Takes the results of one SNR or one power sweep covering both modes;
+    anything else has no gap in dB and raises :class:`ValueError`.
     """
     surf = [r for r in results if r.mode is TxMode.METASURFACE]
     conv = [r for r in results if r.mode is TxMode.CONVENTIONAL]
     if not surf or not conv:
         raise ValueError("need results for both modes")
+    sweep_vars = {r.sweep_var for r in results}
+    if sweep_vars not in ({SweepVar.SNR}, {SweepVar.TX_POWER}):
+        got = ", ".join(sorted(v.value for v in sweep_vars))
+        raise ValueError(f"gaps need the rows of one snr or power sweep, got sweep_var {got}")
     gaps = []
     for target in targets:
         xs = _crossing(surf, target)

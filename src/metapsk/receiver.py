@@ -43,15 +43,20 @@ def synchronize(
 
     The reference is the oversampled sync subframe.  The peak is
     normalized by the windowed signal energy, so it lies in [0, 1] and is
-    insensitive to the channel gain.  Peaks equal within float resolution
-    resolve to the earliest lag; a best peak below ``threshold`` raises
-    :class:`SyncError`.
+    insensitive to the channel gain.  Only lags up to ``max_start`` (all
+    lags when it is None) are searched.  Peaks equal within float
+    resolution resolve to the earliest lag; a best peak below
+    ``threshold`` raises :class:`SyncError`.
     """
     ovs = wave.oversampling
     ref = np.repeat(constellation(phase_offset_deg)[np.asarray(sync_syms)], ovs)
     r = wave.samples
     if r.size < ref.size:
         raise SyncError("waveform shorter than the sync reference")
+    if max_start is not None:
+        if max_start < 0:
+            raise SyncError("waveform shorter than a full frame")
+        r = r[: max_start + ref.size]
 
     num = np.abs(fftconvolve(r, np.conj(ref[::-1]), mode="valid"))
     csum = np.concatenate([[0.0], np.cumsum(np.abs(r) ** 2)])
@@ -60,10 +65,6 @@ def synchronize(
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.where(window_energy > 0.0, num / (np.sqrt(window_energy) * ref_norm), 0.0)
 
-    if max_start is not None:
-        if max_start < 0:
-            raise SyncError("waveform shorter than a full frame")
-        corr = corr[: max_start + 1]
     best = float(np.max(corr))
     start = int(np.flatnonzero(corr >= best * (1.0 - 1e-12))[0])
     if best < threshold:
@@ -124,7 +125,8 @@ def receive_frame(
     """Run the full chain on a waveform containing one frame."""
     ovs = wave.oversampling
     max_start = wave.samples.size - layout.total_symbols * ovs
-    sync = synchronize(wave, sync_symbols(layout.sync_len), threshold, phase_offset_deg, max_start=max_start)
+    sync_syms = sync_symbols(layout.sync_len)
+    sync = synchronize(wave, sync_syms, threshold, phase_offset_deg, max_start=max_start)
 
     centres = sync.frame_start + np.arange(layout.total_symbols) * ovs + ovs // 2
     y = wave.samples[centres]
@@ -134,7 +136,7 @@ def receive_frame(
     # Estimate over sync + pilot: with only the 32 pilot symbols the
     # estimate's own noise (1/32 of the sample noise) visibly inflates
     # BER on the steep part of the waterfall.
-    train_ref = np.concatenate([points[sync_symbols(layout.sync_len)], pilot_ref])
+    train_ref = np.concatenate([points[sync_syms], pilot_ref])
     estimate = estimate_channel(y[: layout.pilot_slice.stop], train_ref)
     y_eq = y / estimate.gain
 

@@ -33,15 +33,7 @@ def frame_wave(
     frame = build_frame(payload, layout)
     curve = VoltagePhaseCurve(amplitude=amplitude)
     rc = rc_for(tau_s, symbol_rate_hz, oversampling)
-    wave = synthesize(
-        frame,
-        mode,
-        curve,
-        rc,
-        oversampling=oversampling,
-        symbol_rate_hz=symbol_rate_hz,
-        phase_offset_deg=phase_offset_deg,
-    )
+    wave = synthesize(frame, mode, curve, rc, oversampling, phase_offset_deg=phase_offset_deg)
     return payload, frame, wave
 
 
@@ -50,7 +42,7 @@ def synthetic_point(mode, value, ber, var=None):
     from metapsk.harness import PointResult, SweepVar
 
     return PointResult(
-        mode=mode, var=SweepVar.SNR if var is None else var, value=value,
+        mode=mode, sweep_var=SweepVar.SNR if var is None else var, value=value,
         symbol_rate_hz=2.048e6, snr_db=value, tx_power_dbm=None,
         ber=ber, ser=3 * ber, evm_rms_pct=10.0, est_snr_db=value,
         bits=10**6, bit_errors=int(ber * 10**6), frames=100,

@@ -3,12 +3,13 @@
 import csv
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from metapsk.baseband import TxMode
 from metapsk.cli import main
-from metapsk.harness import write_results_csv
+from metapsk.harness import SweepVar, write_results_csv
 
 from helpers import loglinear_curve
 
@@ -68,6 +69,7 @@ class TestSweep:
             ("snr", ["nan"], "finite"),
             ("power", ["-30", "inf"], "finite"),
             ("rate", ["0", "1e6"], "positive"),
+            ("snr", ["6", "--modes", "conventional", "conventional"], "distinct"),
         ):
             code, _, err = run_cli(capsys, "sweep", "--var", var, "--values", *values,
                                    "--trials", "1", "--out", str(tmp_path))
@@ -123,6 +125,25 @@ class TestCompare:
         code, _, err = run_cli(capsys, "compare", str(ms))
         assert code == 1
         assert "both modes" in json.loads(err)["error"]
+
+    def test_gap_needs_one_snr_or_power_sweep(self, capsys, tmp_path):
+        """A rate sweep, or SNR rows against power rows, has no gap in dB."""
+        def write(var, mode):
+            path = tmp_path / f"{var.value}_{mode.value}.csv"
+            write_results_csv(path, [replace(p, sweep_var=var) for p in loglinear_curve(mode, 0.0)])
+            return str(path)
+
+        ms, conv = TxMode.METASURFACE, TxMode.CONVENTIONAL
+        rate = (write(SweepVar.SYMBOL_RATE, ms), write(SweepVar.SYMBOL_RATE, conv))
+        mixed = (write(SweepVar.SNR, ms), write(SweepVar.TX_POWER, conv))
+        for paths in (rate, mixed):
+            code, out, err = run_cli(capsys, "compare", *paths)
+            assert code == 1
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert "one snr or power sweep" in json.loads(err)["error"]
+        report = stdout_json(capsys, "compare", write(SweepVar.TX_POWER, ms), mixed[1])
+        assert report["gaps"][0]["gap_db"] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestConstellation:

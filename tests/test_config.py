@@ -60,9 +60,10 @@ class TestParsing:
 
     def test_partial_file_keeps_other_defaults(self, tmp_path):
         path = tmp_path / "sim.cfg"
-        path.write_text("oversampling = 2\n")
+        path.write_text("oversampling = 2\nsnr_grid_db = 3\n")
         cfg = load_config(path)
         assert cfg.oversampling == 2
+        assert cfg.snr_grid_db == (3.0,) and type(cfg.snr_grid_db[0]) is float
         assert cfg.symbol_rate_hz == SimConfig().symbol_rate_hz
 
 

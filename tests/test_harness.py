@@ -56,6 +56,9 @@ class TestSweepSpec:
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError):
             SweepSpec(SweepVar.SNR, values=())
+        for modes in ((), (TxMode.CONVENTIONAL, TxMode.CONVENTIONAL)):
+            with pytest.raises(ValueError, match="modes"):
+                SweepSpec(SweepVar.SNR, values=(1.0,), modes=modes)
 
     def test_rejects_non_finite_values_and_non_positive_rates(self):
         for values in ((1.0, math.nan, 2.0), (math.nan,), (1.0, math.inf), (-math.inf, 1.0)):
@@ -137,7 +140,7 @@ class TestRateInvariance:
     ])
     def test_trial_metrics_identical_across_rates(self, mode, tau_s):
         cfg = fast_cfg(tau_s=tau_s)
-        channel = ChannelConfig(seed=0, snr_db=8.0)
+        channel = ChannelConfig(snr_db=8.0)
         _, a = run_trial(mode, cfg, 256e3, channel, seed=33)
         _, b = run_trial(mode, cfg, 4096e3, channel, seed=33)
         assert a.bit_errors == b.bit_errors
@@ -186,7 +189,7 @@ class TestResultsTable:
         back = read_results_csv(path)
         assert len(back) == len(results)
         for a, b in zip(results, back):
-            assert a.mode is b.mode and a.var is b.var
+            assert a.mode is b.mode and a.sweep_var is b.sweep_var
             assert a.value == b.value
             assert a.tx_power_dbm is None and b.tx_power_dbm is None
             assert a.ber == b.ber and a.ser == b.ser

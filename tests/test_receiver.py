@@ -57,7 +57,7 @@ class TestSynchronize:
     def test_known_offset_recovered(self):
         _, _, wave = frame_wave(2)
         padded = replace(wave, samples=np.concatenate([np.zeros(1000, dtype=complex), wave.samples]))
-        noisy = apply_channel(padded, ChannelConfig(seed=5, snr_db=20.0))
+        noisy = apply_channel(padded, ChannelConfig(snr_db=20.0), 5)
         assert synchronize(noisy, sync_symbols(64)).frame_start == 1000
 
     def test_zero_energy_padding_handled(self):
@@ -68,7 +68,7 @@ class TestSynchronize:
     def test_noise_only_raises(self):
         rng = np.random.default_rng(4)
         noise = rng.standard_normal(20000) + 1j * rng.standard_normal(20000)
-        wave = Waveform(noise, 8 * 2.048e6, 2.048e6, TxMode.CONVENTIONAL)
+        wave = Waveform(noise, 8, TxMode.CONVENTIONAL)
         with pytest.raises(SyncError):
             synchronize(wave, sync_symbols(64))
 
@@ -83,13 +83,36 @@ class TestSynchronize:
         with pytest.raises(SyncError):
             synchronize(padded, sync_symbols(64), max_start=-1)
 
+    @pytest.mark.parametrize("lag", [1, 37, 500])
+    def test_max_start_window_edge(self, lag):
+        """A frame at ``lag`` is missed by a window ending at lag - 1 and found at its edge.
+
+        One sample per symbol, so a lag one sample early is a whole
+        symbol early and correlates far below the threshold.
+        """
+        _, _, wave = frame_wave(6, oversampling=1)
+        padded = replace(wave, samples=np.concatenate([np.zeros(lag, dtype=complex), wave.samples]))
+        with pytest.raises(SyncError):
+            synchronize(padded, sync_symbols(64), max_start=lag - 1)
+        assert synchronize(padded, sync_symbols(64), max_start=lag).frame_start == lag
+
+    @pytest.mark.parametrize("lag", [1, 37, 500])
+    def test_receiver_acquires_delayed_frame(self, lag):
+        """receive_frame searches every lag a full frame fits behind."""
+        payload, frame, wave = frame_wave(8)
+        lead = 0.3 * np.exp(1j * np.arange(lag))  # leading samples that are not the frame
+        delayed = replace(wave, samples=np.concatenate([lead, wave.samples]))
+        received = receive_frame(delayed)
+        assert received.sync.frame_start == lag
+        assert measure(received, payload, frame.data_symbols()).bit_errors == 0
+
     def test_acquisition_rate_at_10_db(self):
         """At 10 dB per-sample SNR the frame is found in >= 99 % of trials."""
         _, _, wave = frame_wave(7)
         hits = 0
         trials = 1000
         for t in range(trials):
-            noisy = apply_channel(wave, ChannelConfig(seed=10_000 + t, snr_db=10.0))
+            noisy = apply_channel(wave, ChannelConfig(snr_db=10.0), 10_000 + t)
             if synchronize(noisy, sync_symbols(64)).frame_start == 0:
                 hits += 1
         assert hits >= 990
@@ -206,7 +229,7 @@ class TestReceiveFrame:
 
     def test_est_snr_tracks_channel(self):
         _, _, wave = frame_wave(25)
-        noisy = apply_channel(wave, ChannelConfig(seed=99, snr_db=15.0))
+        noisy = apply_channel(wave, ChannelConfig(snr_db=15.0), 99)
         received = receive_frame(noisy)
         assert received.est_snr_db == pytest.approx(15.0, abs=1.5)
 
@@ -221,7 +244,7 @@ class TestReceiveFrame:
         errors = []
         for seed in range(200):
             _, _, wave = frame_wave(27 + seed, oversampling=1)
-            noisy = apply_channel(wave, ChannelConfig(seed=seed, snr_db=snr_db))
+            noisy = apply_channel(wave, ChannelConfig(snr_db=snr_db), seed)
             errors.append(receive_frame(noisy).estimate.gain - 1.0)
         mse = float(np.mean(np.abs(errors) ** 2))
         expected = 10.0 ** (-snr_db / 10.0) / 96.0
