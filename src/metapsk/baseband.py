@@ -11,12 +11,17 @@ symbol rate enters only through the bias lag's sample period
 
 Symbols are plain integer indices 0..7; the transmitted phase of index k
 is ``phase_offset_deg + k * 45 deg``.
+
+The frame constants (constellation, sync and pilot symbols) are built
+once per argument and shared: the functions that return them are
+memoized and their arrays are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -62,6 +67,18 @@ def symbols_to_bits(symbols) -> np.ndarray:
     return bits
 
 
+def _frozen(fn):
+    """Memoize ``fn`` and make the arrays it returns read-only, so callers can share them."""
+    @lru_cache(maxsize=64)
+    @wraps(fn)
+    def cached(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        out.flags.writeable = False
+        return out
+    return cached
+
+
+@_frozen
 def constellation(phase_offset_deg: float = 0.0) -> np.ndarray:
     """The eight ideal unit-magnitude constellation points, index order."""
     phases = np.deg2rad(phase_offset_deg + PSK_STEP_DEG * np.arange(8))
@@ -75,6 +92,7 @@ SYNC_LFSR_TAPS = (6, 5)  # x^6 + x^5 + 1, maximal length 63
 SYNC_LFSR_SEED = 0b100101
 
 
+@_frozen
 def pn_chips(length: int, taps=SYNC_LFSR_TAPS, seed: int = SYNC_LFSR_SEED) -> np.ndarray:
     """First ``length`` chips of the LFSR sequence, extended cyclically.
 
@@ -98,11 +116,13 @@ def pn_chips(length: int, taps=SYNC_LFSR_TAPS, seed: int = SYNC_LFSR_SEED) -> np
     return np.tile(np.array(chips, dtype=np.int64), reps)[:length]
 
 
+@_frozen
 def sync_symbols(length: int) -> np.ndarray:
     """Symbol indices of the sync subframe (antipodal pair 0 / 4)."""
     return pn_chips(length) * 4
 
 
+@_frozen
 def pilot_symbols(length: int) -> np.ndarray:
     """Symbol indices of the pilot subframe, cycling all eight points."""
     return np.arange(length, dtype=np.int64) % 8
@@ -145,6 +165,18 @@ class FrameLayout:
         return slice(self.sync_len + self.pilot_len, self.total_symbols)
 
 
+@_frozen
+def training_symbols(layout: FrameLayout) -> np.ndarray:
+    """Symbol indices of the known head of every frame: sync, then pilot."""
+    return np.concatenate([sync_symbols(layout.sync_len), pilot_symbols(layout.pilot_len)])
+
+
+@_frozen
+def symbol_centres(layout: FrameLayout, oversampling: int) -> np.ndarray:
+    """Sample offset of each symbol's middle sample from the frame start."""
+    return np.arange(layout.total_symbols) * oversampling + oversampling // 2
+
+
 @dataclass(frozen=True)
 class Frame:
     layout: FrameLayout
@@ -159,10 +191,7 @@ def build_frame(payload_bits, layout: FrameLayout = FrameLayout()) -> Frame:
     bits = np.asarray(payload_bits, dtype=int).ravel()
     if bits.size != layout.payload_bits:
         raise ValueError(f"payload must be exactly {layout.payload_bits} bits, got {bits.size}")
-    symbols = np.concatenate(
-        [sync_symbols(layout.sync_len), pilot_symbols(layout.pilot_len), bits_to_symbols(bits)]
-    )
-    return Frame(layout, symbols)
+    return Frame(layout, np.concatenate([training_symbols(layout), bits_to_symbols(bits)]))
 
 
 def data_rate_bps(symbol_rate_hz: float) -> float:

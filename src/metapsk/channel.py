@@ -63,16 +63,36 @@ class ChannelConfig:
     def __post_init__(self) -> None:
         if (self.snr_db is None) == (self.tx_power_dbm is None):
             raise ValueError("set exactly one of snr_db and tx_power_dbm")
+        if self.snr_db is not None and (math.isnan(self.snr_db) or self.snr_db == -math.inf):
+            raise ValueError(f"snr_db must be finite or +inf (no noise), got {self.snr_db}")
+        if self.tx_power_dbm is not None and not math.isfinite(self.tx_power_dbm):
+            raise ValueError(f"tx_power_dbm must be finite, got {self.tx_power_dbm}")
+
+
+def _path_loss_db(cfg: ChannelConfig, mode: TxMode) -> float:
+    """Loss from transmit to received power: the link, plus the surface budget for that mode."""
+    loss = cfg.link_loss_db
+    if mode is TxMode.METASURFACE:
+        loss += cfg.budget.total_db
+    return loss
+
+
+def _db_to_linear(db: float, what: str) -> float:
+    """10^(db/10), or ValueError when that is not a finite positive number."""
+    try:
+        linear = 10.0 ** (db / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ValueError(f"{what} of {db} dB is out of the float range")
+    return linear
 
 
 def realized_snr_db(cfg: ChannelConfig, mode: TxMode) -> float:
     """Per-sample SNR the channel will realize for a waveform of ``mode``."""
     if cfg.snr_db is not None:
         return cfg.snr_db
-    loss = cfg.link_loss_db
-    if mode is TxMode.METASURFACE:
-        loss += cfg.budget.total_db
-    return cfg.tx_power_dbm - loss - cfg.noise_floor_dbm
+    return cfg.tx_power_dbm - _path_loss_db(cfg, mode) - cfg.noise_floor_dbm
 
 
 def apply_channel(wave: Waveform, cfg: ChannelConfig, seed: int) -> Waveform:
@@ -80,28 +100,36 @@ def apply_channel(wave: Waveform, cfg: ChannelConfig, seed: int) -> Waveform:
 
     Noise is circularly symmetric and drawn from ``seed``: the same
     config and seed on the same waveform reproduce the output exactly.
+    A config whose gain or noise power is not a finite positive number
+    for this waveform raises :class:`ValueError`.
     """
     x = wave.samples
     p_in = float(np.mean(np.abs(x) ** 2))
     if p_in == 0.0:
         raise ValueError("input waveform has zero power")
 
-    snr_db = realized_snr_db(cfg, wave.mode)
     if cfg.snr_db is not None:
-        if math.isinf(snr_db) and snr_db > 0:
+        if cfg.snr_db == math.inf:
             return replace(wave, samples=x.copy())
         gain = 1.0
-        noise_power = p_in / 10.0 ** (snr_db / 10.0)
+        noise_power = p_in / _db_to_linear(cfg.snr_db, "SNR")
     else:
-        loss = cfg.link_loss_db + (cfg.budget.total_db if wave.mode is TxMode.METASURFACE else 0.0)
-        p_rx = 10.0 ** ((cfg.tx_power_dbm - loss) / 10.0)
+        p_rx = _db_to_linear(cfg.tx_power_dbm - _path_loss_db(cfg, wave.mode), "received power")
         gain = math.sqrt(p_rx / p_in)
-        noise_power = 10.0 ** (cfg.noise_floor_dbm / 10.0)
+        noise_power = _db_to_linear(cfg.noise_floor_dbm, "noise floor")
+    if not (0.0 < gain < math.inf and 0.0 < noise_power < math.inf):
+        raise ValueError(f"channel gain {gain} and noise power {noise_power} "
+                         "must be finite and positive")
 
-    rng = np.random.default_rng(seed)
-    scale = math.sqrt(noise_power / 2.0)
-    noise = scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
-    return replace(wave, samples=gain * x + noise)
+    # One draw of 2n normals, added in place to the scaled signal: the
+    # first n are the noise's real parts and the rest its imaginary parts,
+    # as two successive draws of n would give.
+    normals = np.random.default_rng(seed).standard_normal(2 * x.size)
+    normals *= math.sqrt(noise_power / 2.0)
+    out = gain * x
+    out.real += normals[: x.size]
+    out.imag += normals[x.size:]
+    return replace(wave, samples=out)
 
 
 def snr_from_eb_n0_db(eb_n0_db: float, oversampling: int) -> float:

@@ -7,6 +7,13 @@ estimate's own noise stays well below the data noise), and makes
 nearest-point decisions on mid-symbol samples.  Mid-symbol sampling is
 deliberate: it neither hides nor exaggerates the settling transients of
 the surface transmitter.
+
+Synchronization has two paths.  When the search window admits exactly
+one lag, as in every sweep (the channel adds no delay, so the frame can
+only start at sample 0), the peak is that lag's normalized dot product.
+A window of several lags is correlated at all lags at once by FFT.  The
+frame constants the receiver compares against (sync and pilot symbols,
+mid-symbol offsets) are built once per frame format and shared.
 """
 
 from __future__ import annotations
@@ -17,7 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .baseband import FrameLayout, Waveform, constellation, pilot_symbols, symbols_to_bits, sync_symbols
+from .baseband import (
+    FrameLayout,
+    Waveform,
+    constellation,
+    symbol_centres,
+    symbols_to_bits,
+    sync_symbols,
+    training_symbols,
+)
 
 SYNC_THRESHOLD_DEFAULT = 0.5
 
@@ -44,9 +59,13 @@ def synchronize(
     The reference is the oversampled sync subframe.  The peak is
     normalized by the windowed signal energy, so it lies in [0, 1] and is
     insensitive to the channel gain.  Only lags up to ``max_start`` (all
-    lags when it is None) are searched.  Peaks equal within float
-    resolution resolve to the earliest lag; a best peak below
-    ``threshold`` raises :class:`SyncError`.
+    lags when it is None) are searched.
+
+    A window of one lag is scored by one dot product against the signal
+    energy.  A longer window is correlated at every lag by FFT, and
+    peaks equal within float resolution resolve to the earliest lag.  A
+    best peak below ``threshold``, or a NaN peak (from a NaN or infinite
+    sample in the window), raises :class:`SyncError`.
     """
     ovs = wave.oversampling
     ref = np.repeat(constellation(phase_offset_deg)[np.asarray(sync_syms)], ovs)
@@ -57,17 +76,23 @@ def synchronize(
         if max_start < 0:
             raise SyncError("waveform shorter than a full frame")
         r = r[: max_start + ref.size]
-
-    num = np.abs(fftconvolve(r, np.conj(ref[::-1]), mode="valid"))
-    csum = np.concatenate([[0.0], np.cumsum(np.abs(r) ** 2)])
-    window_energy = np.maximum(csum[ref.size:] - csum[: r.size - ref.size + 1], 0.0)
     ref_norm = float(np.linalg.norm(ref))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.where(window_energy > 0.0, num / (np.sqrt(window_energy) * ref_norm), 0.0)
 
-    best = float(np.max(corr))
-    start = int(np.flatnonzero(corr >= best * (1.0 - 1e-12))[0])
-    if best < threshold:
+    if r.size == ref.size:
+        start = 0
+        energy = np.vdot(r, r).real
+        best = abs(np.vdot(ref, r)) / (math.sqrt(energy) * ref_norm) if energy > 0.0 else 0.0
+    else:
+        num = np.abs(fftconvolve(r, np.conj(ref[::-1]), mode="valid"))
+        csum = np.concatenate([[0.0], np.cumsum(np.abs(r) ** 2)])
+        window_energy = np.maximum(csum[ref.size:] - csum[: r.size - ref.size + 1], 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corr = np.where(window_energy > 0.0, num / (np.sqrt(window_energy) * ref_norm), 0.0)
+        best = np.max(corr)
+        start = int(np.argmax(corr >= best * (1.0 - 1e-12)))  # earliest lag at the peak
+
+    best = float(best)
+    if not best >= threshold:  # a NaN peak is a miss too
         raise SyncError(f"correlation peak {best:.3f} below threshold {threshold}")
     return SyncResult(frame_start=start, peak=min(best, 1.0))
 
@@ -125,18 +150,15 @@ def receive_frame(
     """Run the full chain on a waveform containing one frame."""
     ovs = wave.oversampling
     max_start = wave.samples.size - layout.total_symbols * ovs
-    sync_syms = sync_symbols(layout.sync_len)
-    sync = synchronize(wave, sync_syms, threshold, phase_offset_deg, max_start=max_start)
+    sync = synchronize(wave, sync_symbols(layout.sync_len), threshold, phase_offset_deg,
+                       max_start=max_start)
+    y = wave.samples[sync.frame_start:][symbol_centres(layout, ovs)]
 
-    centres = sync.frame_start + np.arange(layout.total_symbols) * ovs + ovs // 2
-    y = wave.samples[centres]
-
-    points = constellation(phase_offset_deg)
-    pilot_ref = points[pilot_symbols(layout.pilot_len)]
     # Estimate over sync + pilot: with only the 32 pilot symbols the
     # estimate's own noise (1/32 of the sample noise) visibly inflates
     # BER on the steep part of the waterfall.
-    train_ref = np.concatenate([points[sync_syms], pilot_ref])
+    train_ref = constellation(phase_offset_deg)[training_symbols(layout)]
+    pilot_ref = train_ref[layout.pilot_slice]
     estimate = estimate_channel(y[: layout.pilot_slice.stop], train_ref)
     y_eq = y / estimate.gain
 

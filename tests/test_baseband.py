@@ -1,5 +1,7 @@
 """Unit tests for framing, Gray mapping, and waveform synthesis."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,9 +19,11 @@ from metapsk.baseband import (
     data_rate_bps,
     pilot_symbols,
     pn_chips,
-    sync_symbols,
+    symbol_centres,
     symbols_to_bits,
+    sync_symbols,
     synthesize,
+    training_symbols,
 )
 from metapsk.cell import RcDynamics, VoltagePhaseCurve
 
@@ -99,6 +103,32 @@ class TestTrainingSequences:
     def test_zero_seed_rejected(self):
         with pytest.raises(ValueError):
             pn_chips(10, seed=0)
+
+    @pytest.mark.parametrize("fn, args", [
+        (constellation, ()),
+        (constellation, (22.5,)),
+        (pn_chips, (63,)),
+        (sync_symbols, (64,)),
+        (pilot_symbols, (32,)),
+        (training_symbols, (FrameLayout(),)),
+        (symbol_centres, (FrameLayout(sync_len=5, pilot_len=3, data_len=2), 8)),
+    ])
+    def test_frame_constants_are_shared_read_only(self, fn, args):
+        """One array per argument, shared by every caller, so none may write to it."""
+        shared = fn(*args)
+        assert fn(*args) is shared
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = shared[1]
+        np.testing.assert_array_equal(shared, inspect.unwrap(fn)(*args))
+
+    def test_training_symbols_and_centres(self):
+        layout = FrameLayout(sync_len=5, pilot_len=3, data_len=2)
+        np.testing.assert_array_equal(
+            training_symbols(layout), np.concatenate([sync_symbols(5), pilot_symbols(3)]))
+        centres = symbol_centres(layout, 8)
+        assert centres.size == layout.total_symbols
+        np.testing.assert_array_equal(centres[:3], [4, 12, 20])
 
 
 class TestFrame:

@@ -47,6 +47,14 @@ class TestConfig:
         surf = realized_snr_db(cfg, TxMode.METASURFACE)
         assert conv - surf == pytest.approx(6.0, abs=1e-12)
 
+    def test_rejects_nan_and_minus_inf_snr_and_non_finite_power(self):
+        for kwargs in ({"snr_db": math.nan}, {"snr_db": -math.inf},
+                       {"tx_power_dbm": math.nan}, {"tx_power_dbm": math.inf},
+                       {"tx_power_dbm": -math.inf}):
+            with pytest.raises(ValueError):
+                ChannelConfig(**kwargs)
+        assert ChannelConfig(snr_db=math.inf).snr_db == math.inf  # noise off
+
     @given(delta=st.floats(min_value=0.0, max_value=40.0))
     def test_power_steps_move_snr_exactly(self, delta):
         lo = ChannelConfig(tx_power_dbm=-40.0)
@@ -65,6 +73,36 @@ class TestApplyChannel:
         wave = Waveform(np.zeros(16, dtype=complex), 1, TxMode.CONVENTIONAL)
         with pytest.raises(ValueError):
             apply_channel(wave, ChannelConfig(snr_db=10.0), 1)
+
+    @pytest.mark.parametrize("cfg", [
+        ChannelConfig(snr_db=1e300),  # noise power underflows to 0
+        ChannelConfig(snr_db=-1e300),  # SNR underflows to 0
+        ChannelConfig(tx_power_dbm=4000.0),  # received power overflows
+        ChannelConfig(tx_power_dbm=-4000.0),  # received power underflows: zero gain
+        ChannelConfig(tx_power_dbm=-30.0, noise_floor_dbm=1e300),
+    ])
+    def test_out_of_range_gain_or_noise_rejected(self, cfg):
+        with pytest.raises(ValueError, match="dB|finite"):
+            apply_channel(unit_wave(16), cfg, 1)
+
+    def test_non_finite_waveform_rejected(self):
+        samples = np.ones(16, dtype=complex)
+        samples[3] = np.inf
+        wave = Waveform(samples, 1, TxMode.CONVENTIONAL)
+        for cfg in (ChannelConfig(snr_db=10.0), ChannelConfig(tx_power_dbm=-30.0)):
+            with pytest.raises(ValueError, match="finite"):
+                apply_channel(wave, cfg, 1)
+
+    def test_noise_is_two_successive_draws(self):
+        """Real parts are the seed's first n normals, imaginary parts the next n."""
+        wave = Waveform(np.exp(0.3j * np.arange(1000)), 8, TxMode.METASURFACE)
+        cfg = ChannelConfig(tx_power_dbm=-40.0)
+        out = apply_channel(wave, cfg, 11)
+        rng = np.random.default_rng(11)
+        gain = math.sqrt(10.0 ** ((-40.0 - 50.0 - cfg.budget.total_db) / 10.0))
+        scale = math.sqrt(10.0 ** (-95.0 / 10.0) / 2.0)
+        expected = gain * wave.samples + scale * (rng.standard_normal(1000) + 1j * rng.standard_normal(1000))
+        np.testing.assert_array_equal(out.samples, expected)
 
     def test_fixed_snr_noise_power(self):
         """At 0 dB SNR on a unit-power signal the noise variance is 1."""

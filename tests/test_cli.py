@@ -77,6 +77,17 @@ class TestSweep:
             assert message in json.loads(err)["error"]
         assert not (tmp_path / "results.csv").exists()
 
+    def test_extreme_channel_values_reported(self, capsys, tmp_path):
+        """Values the channel cannot turn into a float power fail with one JSON line."""
+        for var, value in (("snr", "1e300"), ("power", "4000"), ("snr", "-1e300")):
+            code, out, err = run_cli(capsys, "sweep", "--var", var, f"--values={value}",
+                                     "--trials", "1", "--out", str(tmp_path))
+            assert code == 1, value
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert "dB" in json.loads(err)["error"]
+        assert not (tmp_path / "results.csv").exists()
+
     def test_missing_var_is_a_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--out", str(tmp_path)])
@@ -183,6 +194,15 @@ class TestConstellation:
         assert len(err.splitlines()) == 1
         assert "below threshold" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("flag", ["--snr=-inf", "--snr=nan", "--power=inf", "--power=nan"])
+    def test_non_finite_channel_reported(self, capsys, tmp_path, flag):
+        code, out, err = run_cli(capsys, "constellation", flag, "--out", str(tmp_path / "iq.csv"))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "must be finite" in json.loads(err)["error"]
+        assert not (tmp_path / "iq.csv").exists()
+
     def test_snr_and_power_are_exclusive(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["constellation", "--snr", "10", "--power", "-30",
@@ -217,3 +237,31 @@ def test_artifacts_match_pinned_digests(capsys, tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in ARTIFACT_SHA256}
     assert got == ARTIFACT_SHA256
+
+
+# sha256 of `sweep --var snr --trials 2 --seed 11` artifacts with only the
+# oversampling changed: one sample per symbol (the shortest sync reference)
+# and 32 (the longest the benchmark runs).
+OVERSAMPLED_SHA256 = {
+    1: {
+        "results.csv": "0c225fe9a86320fbd6e7498b9170f92d712b50b87a868a35a295bad554a353b9",
+        "manifest.json": "653109023ace3d401a87ebe38b688488f0010525433382de23ba0a8ed2d63dcf",
+    },
+    32: {
+        "results.csv": "858ac52271b5adbfe601891bcbc64c7eebbb28efbbce4da2a910ee44963ec83e",
+        "manifest.json": "8e8b4d570e9df9996628e9f82b7df5a1f064420f398acea3704cbb2a1c53d759",
+    },
+}
+
+
+@pytest.mark.parametrize("oversampling", sorted(OVERSAMPLED_SHA256))
+def test_oversampled_artifacts_match_pinned_digests(capsys, tmp_path, oversampling):
+    cfg = tmp_path / "ovs.cfg"
+    cfg.write_text(f"oversampling = {oversampling}\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--var", "snr", "--trials", "2", "--seed", "11",
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    expected = OVERSAMPLED_SHA256[oversampling]
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected}
+    assert got == expected

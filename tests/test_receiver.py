@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from helpers import frame_wave
+from metapsk import receiver
 from metapsk.baseband import (
     TxMode,
     Waveform,
@@ -116,6 +117,64 @@ class TestSynchronize:
             if synchronize(noisy, sync_symbols(64)).frame_start == 0:
                 hits += 1
         assert hits >= 990
+
+
+class TestSyncPaths:
+    """A one-lag window is scored by a dot product, a longer one by FFT; they must agree."""
+
+    @staticmethod
+    def both_paths(monkeypatch, wave, **kwargs):
+        """Sync with a one-lag and a two-lag window; check which path each took."""
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return fftconvolve(*args, **kw)
+
+        fftconvolve = receiver.fftconvolve
+        monkeypatch.setattr(receiver, "fftconvolve", counted)
+        results = []
+        for max_start, ffts in ((0, 0), (1, 1)):
+            calls.clear()
+            try:
+                results.append(synchronize(wave, sync_symbols(64), max_start=max_start, **kwargs))
+            except SyncError as exc:
+                results.append(exc)
+            assert len(calls) == ffts
+        return results
+
+    @pytest.mark.parametrize("oversampling", [1, 8, 32])
+    def test_same_start_and_peak(self, monkeypatch, oversampling):
+        for seed, snr_db in ((1, 3.0), (2, 10.0), (3, 25.0)):
+            _, _, wave = frame_wave(seed, oversampling=oversampling)
+            noisy = apply_channel(wave, ChannelConfig(snr_db=snr_db), 100 + seed)
+            direct, fft = self.both_paths(monkeypatch, noisy, threshold=0.0)
+            assert direct.frame_start == fft.frame_start == 0
+            assert direct.peak == pytest.approx(fft.peak, abs=1e-12)
+
+    @pytest.mark.parametrize("oversampling", [1, 8, 32])
+    def test_same_misses(self, monkeypatch, oversampling):
+        _, _, wave = frame_wave(4, oversampling=oversampling)
+        noisy = apply_channel(wave, ChannelConfig(snr_db=0.0), 7)
+        peak = synchronize(noisy, sync_symbols(64), threshold=0.0, max_start=0).peak
+        for samples in (noisy.samples, np.zeros_like(noisy.samples)):
+            results = self.both_paths(monkeypatch, replace(noisy, samples=samples),
+                                      threshold=peak + 1e-9)
+            assert all(isinstance(r, SyncError) for r in results)
+
+    @pytest.mark.parametrize("max_start", [0, 1])
+    def test_nan_sample_is_a_miss(self, max_start):
+        """A NaN in the window is no peak: SyncError, not an error from indexing.
+
+        The NaN sits in the last sample of the window, so with two lags
+        only the second lag's window holds it and the FFT spreads NaN
+        into the first lag's otherwise finite correlation.
+        """
+        _, _, wave = frame_wave(5, oversampling=1)
+        samples = wave.samples.copy()
+        samples[63 + max_start] = np.nan
+        with pytest.raises(SyncError):
+            synchronize(replace(wave, samples=samples), sync_symbols(64), max_start=max_start)
 
 
 class TestEstimateChannel:
