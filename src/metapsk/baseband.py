@@ -194,11 +194,6 @@ def build_frame(payload_bits, layout: FrameLayout = FrameLayout()) -> Frame:
     return Frame(layout, np.concatenate([training_symbols(layout), bits_to_symbols(bits)]))
 
 
-def data_rate_bps(symbol_rate_hz: float) -> float:
-    """Payload bit rate of the 8PSK link."""
-    return BITS_PER_SYMBOL * symbol_rate_hz
-
-
 @dataclass(frozen=True)
 class Waveform:
     """Complex baseband samples, ``oversampling`` per symbol, from one transmitter."""

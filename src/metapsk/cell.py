@@ -121,16 +121,12 @@ class RcDynamics:
         return math.exp(-self.sample_period_s / self.tau_s)
 
 
-def rc_step(rc: RcDynamics, v_now: float, v_target: float) -> float:
-    """Advance the bias voltage one sample toward ``v_target``."""
-    return v_target + (v_now - v_target) * rc.alpha
-
-
 def voltage_trajectory(rc: RcDynamics, targets, v_init: float) -> np.ndarray:
     """Run the lag over a per-sample target sequence.
 
-    Identical to iterating :func:`rc_step` sample by sample, but runs as a
-    single IIR filter pass.
+    Each sample moves the voltage toward its target,
+    ``v = target + (v - target) * rc.alpha``, computed as a single IIR
+    filter pass.
     """
     targets = np.asarray(targets, dtype=float)
     a = rc.alpha

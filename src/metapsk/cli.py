@@ -1,8 +1,8 @@
-"""Command line front end: sweeps, mode comparison, hardware counts, IQ dumps.
+"""Command line front end: sweeps, mode comparison, hardware counts, IQ dumps, patterns.
 
-Every subcommand prints a JSON summary on stdout and writes any bulk data
-to files, so runs are easy to script.  Failures exit nonzero with a
-single JSON error line on stderr.
+Every experiment is a subcommand.  Each prints a JSON summary on stdout
+and writes any bulk data to files, so runs are easy to script.  Failures
+exit nonzero with a single JSON error line on stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +14,10 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .baseband import TxMode
+from .cell import bias_voltage_table
 from .channel import realized_snr_db
 from .config import SimConfig, load_config
 from .harness import (
@@ -32,6 +35,7 @@ from .harness import (
     write_manifest,
     write_results_csv,
 )
+from .surface import array_factor_cut, uniform_state, write_array_factor_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,6 +62,7 @@ def cmd_sweep(args) -> int:
         modes=tuple(TxMode(m) for m in args.modes),
         trials=args.trials if args.trials is not None else cfg.trials,
         master_seed=args.seed,
+        paired=args.paired,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -123,6 +128,38 @@ def cmd_constellation(args) -> int:
     return 0
 
 
+def cmd_pattern(args) -> int:
+    if not 0.0 < args.theta_step <= 90.0:
+        raise ValueError("--theta-step must lie in (0, 90] degrees")
+    if not 0.0 <= args.phi < 360.0:
+        raise ValueError("--phi must lie in [0, 360) degrees")
+    cfg = _config(args)
+    curve = cfg.curve()
+    geometry = cfg.geometry()
+    volts = bias_voltage_table(curve)
+    state = uniform_state(geometry, curve, volts[args.symbol % volts.size])
+
+    theta = np.arange(0.0, 90.0 + args.theta_step / 2, args.theta_step)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_array_factor_csv(out, state, theta, [args.phi])
+
+    # A uniform state peaks at broadside, and the cut covers one side of
+    # the main lobe: its edge is the last theta before |AF| first drops
+    # below half power.
+    cut = array_factor_cut(state, theta, args.phi)
+    below = np.flatnonzero(cut < cut[0] / np.sqrt(2.0))
+    edge = theta[below[0] - 1] if below.size else theta[-1]
+    _emit({
+        "aperture": [geometry.rows, geometry.cols],
+        "pitch_wavelengths": geometry.cell_pitch_m / geometry.wavelength_m,
+        "broadside_af": float(cut[0] * geometry.n_cells),
+        "half_power_beamwidth_deg": float(2.0 * edge),
+        "out": str(out),
+    })
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="metapsk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -135,6 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", nargs="+", choices=modes, default=modes)
     p.add_argument("--trials", type=int, help="frame budget per point")
     p.add_argument("--seed", type=int, default=SweepSpec.master_seed)
+    p.add_argument("--paired", action="store_true",
+                   help="both modes see the same payloads and noise at each value, "
+                        "and every point runs all --trials frames")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_sweep)
@@ -157,6 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--out", default="constellation.csv", help="IQ output CSV")
     p.set_defaults(func=cmd_constellation)
+
+    p = sub.add_parser("pattern", help="far-field theta cut of the uniformly biased panel")
+    p.add_argument("--symbol", type=int, default=0, help="8PSK index selecting the bias voltage")
+    p.add_argument("--phi", type=float, default=0.0, help="azimuth of the cut, degrees")
+    p.add_argument("--theta-step", type=float, default=0.25, help="theta spacing, degrees")
+    p.add_argument("--config", help="key = value config file")
+    p.add_argument("--out", default="pattern.csv", help="|AF| CSV (theta, phi, dB)")
+    p.set_defaults(func=cmd_pattern)
 
     return parser
 

@@ -40,6 +40,7 @@ class SweepSpec:
     modes: tuple[TxMode, ...] = (TxMode.METASURFACE, TxMode.CONVENTIONAL)
     trials: int = SimConfig.trials
     master_seed: int = 271828
+    paired: bool = False
 
     def __post_init__(self) -> None:
         if len(self.values) == 0:
@@ -143,15 +144,18 @@ class _PointAccumulator:
         self.snr_lin_sum += 10.0 ** (metrics.est_snr_db / 10.0)
 
     def result(self, mode, sweep_var, value, symbol_rate_hz, snr_db, tx_power_dbm, min_errors) -> PointResult:
-        bits = max(self.bits, 1)
-        symbols = max(self.symbols, 1)
-        est_snr = 10.0 * np.log10(self.snr_lin_sum / self.frames) if self.frames else float("nan")
+        """The point's row; a point where no frame passed sync has NaN rates."""
+        if self.frames:
+            ber = self.bit_errors / self.bits
+            ser = self.symbol_errors / self.symbols
+            evm = float(np.sqrt(self.evm_sq_sum / self.symbols))
+            est_snr = float(10.0 * np.log10(self.snr_lin_sum / self.frames))
+        else:
+            ber = ser = evm = est_snr = math.nan
         return PointResult(
             mode=mode, sweep_var=sweep_var, value=value, symbol_rate_hz=symbol_rate_hz,
             snr_db=snr_db, tx_power_dbm=tx_power_dbm,
-            ber=self.bit_errors / bits, ser=self.symbol_errors / symbols,
-            evm_rms_pct=float(np.sqrt(self.evm_sq_sum / symbols)),
-            est_snr_db=float(est_snr),
+            ber=ber, ser=ser, evm_rms_pct=evm, est_snr_db=est_snr,
             bits=self.bits, bit_errors=self.bit_errors,
             frames=self.frames, sync_failures=self.sync_failures,
             low_confidence=self.bit_errors < min_errors,
@@ -195,13 +199,14 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
 
 def run_sweep(spec: SweepSpec, cfg: SimConfig | None = None,
               min_errors: int | None = None, max_bits: int | None = None) -> list[PointResult]:
+    """Every point of ``spec``, mode by mode; ``spec.paired`` is :func:`run_point`'s ``paired``."""
     cfg = SimConfig() if cfg is None else cfg
     results = []
     for mode in spec.modes:
         for value in spec.values:
             results.append(
                 run_point(mode, spec.var, value, cfg, spec.master_seed, spec.trials,
-                          min_errors=min_errors, max_bits=max_bits)
+                          min_errors=min_errors, max_bits=max_bits, paired=spec.paired)
             )
     return results
 
@@ -257,6 +262,8 @@ def write_manifest(path, spec: SweepSpec, cfg: SimConfig) -> None:
         },
         "config": asdict(cfg),
     }
+    if spec.paired:  # only when set, so unpaired manifests keep their bytes
+        manifest["sweep"]["paired"] = True
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -297,7 +304,8 @@ def _crossing(points: list[PointResult], target: float) -> float | None:
     """Sweep value where the BER curve crosses ``target``.
 
     Linear interpolation of log10(BER) against the sweep value; points
-    with zero errors carry no level information and are skipped.
+    with zero errors, or NaN BER (no frame through sync), carry no level
+    information and are skipped.
     """
     usable = sorted((p for p in points if p.ber > 0.0), key=lambda p: p.value)
     for a, b in zip(usable, usable[1:]):

@@ -77,18 +77,13 @@ def uniform_state(geometry: SurfaceGeometry, curve: VoltagePhaseCurve, voltage: 
     return SurfaceState(geometry, curve, grid)
 
 
-def reflect_sample(state: SurfaceState, incident_amplitude: float = 1.0) -> complex:
-    """Complex baseband sample reflected by the surface under plane-wave feed."""
-    gamma = voltage_to_reflection(state.curve, state.voltages)
-    return complex(incident_amplitude * gamma.mean())
-
-
 def uniform_reflection(curve: VoltagePhaseCurve, voltages, incident_amplitude: float = 1.0) -> np.ndarray:
     """Reflected sample series when every cell shares one bias line.
 
-    The surface mean of identical cells equals the single-cell reflection,
-    so this is :func:`reflect_sample` on a uniform grid vectorized over a
-    voltage time series.
+    Under plane-wave feed the surface returns the mean of its cell
+    reflections, and the mean of identical cells is the single-cell
+    reflection, so this is that sample vectorized over a voltage time
+    series.
     """
     gamma = voltage_to_reflection(curve, np.asarray(voltages, dtype=float))
     return incident_amplitude * gamma

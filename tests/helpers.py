@@ -3,10 +3,22 @@
 import numpy as np
 
 from metapsk.baseband import FrameLayout, TxMode, build_frame, synthesize
-from metapsk.cell import RcDynamics, VoltagePhaseCurve
+from metapsk.cell import RcDynamics, VoltagePhaseCurve, voltage_to_reflection
+from metapsk.surface import SurfaceState
 
 DEFAULT_RATE = 2.048e6
 DEFAULT_OVS = 8
+
+
+def rc_step(rc: RcDynamics, v_now: float, v_target: float) -> float:
+    """Advance the bias voltage one sample toward ``v_target``."""
+    return v_target + (v_now - v_target) * rc.alpha
+
+
+def reflect_sample(state: SurfaceState, incident_amplitude: float = 1.0) -> complex:
+    """Complex baseband sample reflected by the surface under plane-wave feed."""
+    gamma = voltage_to_reflection(state.curve, state.voltages)
+    return complex(incident_amplitude * gamma.mean())
 
 
 def rc_for(tau_s, symbol_rate_hz=DEFAULT_RATE, oversampling=DEFAULT_OVS):

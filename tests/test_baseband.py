@@ -16,7 +16,6 @@ from metapsk.baseband import (
     bits_to_symbols,
     build_frame,
     constellation,
-    data_rate_bps,
     pilot_symbols,
     pn_chips,
     symbol_centres,
@@ -156,17 +155,6 @@ class TestFrame:
         payload = rng.integers(0, 2, size=layout.payload_bits)
         frame = build_frame(payload, layout)
         np.testing.assert_array_equal(symbols_to_bits(frame.data_symbols()), payload)
-
-
-class TestDataRate:
-    def test_three_bits_per_symbol(self):
-        assert data_rate_bps(1.0) == 3.0
-
-    def test_reference_rate(self):
-        assert data_rate_bps(2.048e6) == pytest.approx(6.144e6)
-
-    def test_doubled_rate(self):
-        assert data_rate_bps(2.56e6) == pytest.approx(7.68e6)
 
 
 class TestSynthesize:

@@ -13,11 +13,12 @@ from metapsk.cell import (
     VoltagePhaseCurve,
     Z0_FREE_SPACE,
     bias_voltage_table,
-    rc_step,
     reflection_coefficient,
     voltage_to_reflection,
     voltage_trajectory,
 )
+
+from helpers import rc_step
 
 finite_ohms = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 passive_ohms = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)

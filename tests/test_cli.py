@@ -3,13 +3,21 @@
 import csv
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
 from metapsk.baseband import TxMode
 from metapsk.cli import main
-from metapsk.harness import SweepVar, write_results_csv
+from metapsk.config import SimConfig
+from metapsk.harness import (
+    SweepVar,
+    read_results_csv,
+    run_paired_point,
+    run_point,
+    write_results_csv,
+)
 
 from helpers import loglinear_curve
 
@@ -62,6 +70,24 @@ class TestSweep:
         assert main([*argv, "--out", str(b)]) == 0
         capsys.readouterr()
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+
+    def test_paired_rows_share_seeds_and_run_every_trial(self, capsys, tmp_path):
+        values, trials, seed = (0.0, 9.0), 3, 4
+        stdout_json(capsys, "sweep", "--var", "snr", "--values", *map(str, values), "--paired",
+                    "--trials", str(trials), "--seed", str(seed), "--out", str(tmp_path))
+        rows = read_results_csv(tmp_path / "results.csv")
+        cfg = SimConfig()
+        expected = {}
+        for v in values:
+            pair = run_paired_point(SweepVar.SNR, v, cfg, master_seed=seed, trials=trials)
+            assert pair[TxMode.METASURFACE].bits == pair[TxMode.CONVENTIONAL].bits
+            expected.update({(mode, v): point for mode, point in pair.items()})
+        assert {(r.mode, r.value): r for r in rows} == expected
+        assert all(r.frames == trials for r in rows)
+        # at 0 dB the error floor would have stopped an unpaired point early
+        early = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 0.0, cfg, seed, trials)
+        assert early.frames < trials
+        assert json.loads((tmp_path / "manifest.json").read_text())["sweep"]["paired"] is True
 
     def test_decreasing_values_rejected(self, capsys, tmp_path):
         for var, values, message in (
@@ -211,9 +237,36 @@ class TestConstellation:
         assert "error" in json.loads(capsys.readouterr().err)
 
 
-# sha256 of the artifacts at --seed 11.  Any change to the numbers, the
-# CSV/JSON formatting or the config defaults shows up here; update the
-# digests only for a change that is meant to alter the artifacts.
+class TestPattern:
+    @pytest.mark.parametrize("phi, length_m", [(0.0, 32 * 0.012), (90.0, 8 * 0.012)])
+    def test_half_power_beamwidth(self, capsys, tmp_path, phi, length_m):
+        """Full -3 dB width of a uniform aperture of length L: 2 asin(0.443 wavelength / L)."""
+        step = 0.25
+        report = stdout_json(capsys, "pattern", f"--phi={phi}", f"--theta-step={step}",
+                             "--out", str(tmp_path / "af.csv"))
+        wavelength = 299_792_458.0 / SimConfig.carrier_freq_hz
+        expect = 2.0 * math.degrees(math.asin(0.443 * wavelength / length_m))
+        assert report["half_power_beamwidth_deg"] == pytest.approx(expect, abs=2 * step)
+        assert report["aperture"] == [8, 32]
+        assert report["broadside_af"] == pytest.approx(256 * math.sqrt(0.85), rel=1e-12)
+
+    @pytest.mark.parametrize("flag", ["--theta-step=0", "--theta-step=-1", "--theta-step=nan",
+                                      "--theta-step=inf", "--theta-step=91", "--phi=360",
+                                      "--phi=-1", "--phi=nan"])
+    def test_bad_grid_rejected_before_writing(self, capsys, tmp_path, flag):
+        out = tmp_path / "af" / "pattern.csv"
+        code, stdout, err = run_cli(capsys, "pattern", flag, "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert "must lie in" in json.loads(err)["error"]
+        assert not out.parent.exists()
+
+
+# sha256 of the artifacts at --seed 11 (the pattern cuts take no seed).
+# Any change to the numbers, the CSV/JSON formatting or the config
+# defaults shows up here; update the digests only for a change that is
+# meant to alter the artifacts.
 ARTIFACT_SHA256 = {
     "snr/results.csv": "61e57e6cf7b97e3ff9ba5ac059449a18675f609ac484a198a244721af4efdab3",
     "snr/manifest.json": "702fc211449cbc99a0c691494f0d71e0a92d09c60690be3ec97a77d9091e9bcb",
@@ -223,6 +276,8 @@ ARTIFACT_SHA256 = {
     "power/manifest.json": "b994f1c2dd128a64d44ce8a4422256789ab260893e6b559287719ad6f10d06d5",
     "constellation_power.csv": "c5ec01a0d30a6813a58368ac67a0fd9077e100c35720f1860e53462f65bafd72",
     "constellation_snr.csv": "61f65bfa1f24e4f858c3b79dbfd1fa35c8327adfeb805d3abd7e5f465ecf4915",
+    "pattern.csv": "1f4f66a26fbf50b738c90987d8dac435b07e65baa2cb8018ca6c929c4be47ad9",
+    "pattern_symbol3_phi90.csv": "97fd40a42d13a53f71e137e24a39d4113eeaf6666b7b41bbcef888b1f5fab7fd",
 }
 
 
@@ -233,6 +288,9 @@ def test_artifacts_match_pinned_digests(capsys, tmp_path):
     for name, flag, value in (("power", "--power", "-30"), ("snr", "--snr", "15")):
         assert main(["constellation", flag, value, "--seed", "11",
                      "--out", str(tmp_path / f"constellation_{name}.csv")]) == 0
+    assert main(["pattern", "--out", str(tmp_path / "pattern.csv")]) == 0
+    assert main(["pattern", "--symbol", "3", "--phi", "90", "--theta-step", "1",
+                 "--out", str(tmp_path / "pattern_symbol3_phi90.csv")]) == 0
     capsys.readouterr()
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in ARTIFACT_SHA256}

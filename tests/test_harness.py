@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -112,8 +113,9 @@ class TestRunPoint:
                        master_seed=15, trials=3, min_errors=1)
         assert pt.sync_failures == 3
         assert pt.frames == 0
-        assert pt.ber == 0.0
-        assert math.isnan(pt.est_snr_db)
+        assert pt.bits == 0
+        for rate in (pt.ber, pt.ser, pt.evm_rms_pct, pt.est_snr_db):
+            assert math.isnan(rate)
         assert pt.low_confidence
 
     def test_rate_sweep_holds_snr_constant(self):
@@ -184,6 +186,9 @@ class TestResultsTable:
 
     def test_roundtrip_preserves_fields(self, tmp_path):
         _, results = self._small_sweep()
+        nan = math.nan
+        results.append(replace(results[0], ber=nan, ser=nan, evm_rms_pct=nan, est_snr_db=nan,
+                               bits=0, bit_errors=0, frames=0, sync_failures=3))
         path = tmp_path / "results.csv"
         write_results_csv(path, results)
         back = read_results_csv(path)
@@ -192,9 +197,9 @@ class TestResultsTable:
             assert a.mode is b.mode and a.sweep_var is b.sweep_var
             assert a.value == b.value
             assert a.tx_power_dbm is None and b.tx_power_dbm is None
-            assert a.ber == b.ber and a.ser == b.ser
-            assert a.evm_rms_pct == b.evm_rms_pct
-            assert a.est_snr_db == b.est_snr_db
+            for x, y in ((a.ber, b.ber), (a.ser, b.ser), (a.evm_rms_pct, b.evm_rms_pct),
+                         (a.est_snr_db, b.est_snr_db)):
+                assert x == y or (math.isnan(x) and math.isnan(y))
             assert (a.bits, a.bit_errors, a.frames, a.sync_failures) == \
                    (b.bits, b.bit_errors, b.frames, b.sync_failures)
             assert a.low_confidence == b.low_confidence
@@ -222,6 +227,7 @@ class TestManifest:
         assert manifest["sweep"]["var"] == "snr"
         assert manifest["sweep"]["values"] == [4.0, 8.0]
         assert manifest["sweep"]["master_seed"] == 19
+        assert "paired" not in manifest["sweep"]  # unpaired manifests keep their bytes
         assert manifest["config"]["oversampling"] == 1
         assert manifest["config"]["symbol_rate_hz"] == 2048000.0
         assert "package_version" in manifest
@@ -274,8 +280,10 @@ class TestCompareModes:
         assert "metasurface" in gaps[0].note
 
     def test_zero_error_points_are_skipped(self):
+        """Points with no errors, or no frame through sync (NaN), carry no BER level."""
         curve = loglinear_curve(TxMode.METASURFACE, 0.0)
         curve.append(synthetic_point(TxMode.METASURFACE, 20.0, 0.0))
+        curve.append(replace(synthetic_point(TxMode.METASURFACE, 10.0, 0.0), ber=math.nan))
         results = curve + loglinear_curve(TxMode.CONVENTIONAL, 0.0)
         gaps = compare_modes(results, targets=(1e-3,))
         assert gaps[0].gap_db == pytest.approx(0.0, abs=1e-9)

@@ -14,11 +14,12 @@ from metapsk.surface import (
     SurfaceState,
     array_factor,
     array_factor_cut,
-    reflect_sample,
     uniform_reflection,
     uniform_state,
     write_array_factor_csv,
 )
+
+from helpers import reflect_sample
 
 
 @pytest.fixture
