@@ -7,6 +7,10 @@ roughly flat.  Over the usable bias range the phase response is close
 enough to linear that a two-point calibration (phase at v_min, total span)
 captures it, and that linear curve is what the rest of the simulator uses.
 
+The bias-line lag runs as an IIR filter pass (``scipy.signal.lfilter``),
+imported on the first call with a nonzero lag: an ideal driver, and a
+process that never synthesizes a surface frame, load numpy alone.
+
 Conventions: voltages in volts, phases in degrees, times in seconds.
 """
 
@@ -16,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 Z0_FREE_SPACE = 377.0  # ohm, wave impedance the cells are matched against
 
@@ -132,5 +135,7 @@ def voltage_trajectory(rc: RcDynamics, targets, v_init: float) -> np.ndarray:
     a = rc.alpha
     if a == 0.0:
         return targets.copy()
+    from scipy.signal import lfilter  # loaded only by a lagging cell
+
     out, _ = lfilter([1.0 - a], [1.0, -a], targets, zi=np.array([a * v_init]))
     return out

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseband import TxMode
-from .cell import bias_voltage_table
+from .cell import PSK_ORDER, bias_voltage_table
 from .channel import realized_snr_db
 from .config import SimConfig, load_config
 from .harness import (
@@ -133,11 +133,13 @@ def cmd_pattern(args) -> int:
         raise ValueError("--theta-step must lie in (0, 90] degrees")
     if not 0.0 <= args.phi < 360.0:
         raise ValueError("--phi must lie in [0, 360) degrees")
+    if not 0 <= args.symbol < PSK_ORDER:
+        raise ValueError(f"--symbol must lie in 0..{PSK_ORDER - 1}")
     cfg = _config(args)
     curve = cfg.curve()
     geometry = cfg.geometry()
     volts = bias_voltage_table(curve)
-    state = uniform_state(geometry, curve, volts[args.symbol % volts.size])
+    state = uniform_state(geometry, curve, volts[args.symbol])
 
     theta = np.arange(0.0, 90.0 + args.theta_step / 2, args.theta_step)
     out = Path(args.out)

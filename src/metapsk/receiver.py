@@ -11,9 +11,11 @@ the surface transmitter.
 Synchronization has two paths.  When the search window admits exactly
 one lag, as in every sweep (the channel adds no delay, so the frame can
 only start at sample 0), the peak is that lag's normalized dot product.
-A window of several lags is correlated at all lags at once by FFT.  The
-frame constants the receiver compares against (sync and pilot symbols,
-mid-symbol offsets) are built once per frame format and shared.
+A window of several lags is correlated at all lags at once by FFT
+(``scipy.signal.fftconvolve``, imported on the first such window, so the
+one-lag path loads numpy alone).  The frame constants the receiver
+compares against (sync and pilot symbols, mid-symbol offsets) are built
+once per frame format and shared.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .baseband import (
     FrameLayout,
@@ -35,6 +36,13 @@ from .baseband import (
 )
 
 SYNC_THRESHOLD_DEFAULT = 0.5
+
+
+def fftconvolve(in1, in2, mode="full"):
+    """``scipy.signal.fftconvolve``, imported on the first call."""
+    from scipy.signal import fftconvolve as scipy_fftconvolve
+
+    return scipy_fftconvolve(in1, in2, mode=mode)
 
 
 class SyncError(RuntimeError):

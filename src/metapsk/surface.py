@@ -14,9 +14,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import speed_of_light
 
 from .cell import VoltagePhaseCurve, voltage_to_reflection
+
+speed_of_light = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
 
 @dataclass(frozen=True)

@@ -252,7 +252,8 @@ class TestPattern:
 
     @pytest.mark.parametrize("flag", ["--theta-step=0", "--theta-step=-1", "--theta-step=nan",
                                       "--theta-step=inf", "--theta-step=91", "--phi=360",
-                                      "--phi=-1", "--phi=nan"])
+                                      "--phi=-1", "--phi=nan", "--symbol=8", "--symbol=9",
+                                      "--symbol=-1"])
     def test_bad_grid_rejected_before_writing(self, capsys, tmp_path, flag):
         out = tmp_path / "af" / "pattern.csv"
         code, stdout, err = run_cli(capsys, "pattern", flag, "--out", str(out))
