@@ -1,4 +1,4 @@
-"""Command line front end: sweeps, mode comparison, hardware counts, IQ dumps, patterns.
+"""Command line front end: sweeps, mode comparison, hardware counts, IQ dumps, far-field cuts.
 
 Every experiment is a subcommand.  Each prints a JSON summary on stdout
 and writes any bulk data to files, so runs are easy to script.  Failures
@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .baseband import TxMode
-from .cell import PSK_ORDER, bias_voltage_table
 from .channel import realized_snr_db
 from .config import SimConfig, load_config
 from .harness import (
@@ -35,7 +34,7 @@ from .harness import (
     write_manifest,
     write_results_csv,
 )
-from .surface import array_factor_cut, uniform_state, write_array_factor_csv
+from .surface import array_factor
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,23 +132,24 @@ def cmd_pattern(args) -> int:
         raise ValueError("--theta-step must lie in (0, 90] degrees")
     if not 0.0 <= args.phi < 360.0:
         raise ValueError("--phi must lie in [0, 360) degrees")
-    if not 0 <= args.symbol < PSK_ORDER:
-        raise ValueError(f"--symbol must lie in 0..{PSK_ORDER - 1}")
     cfg = _config(args)
-    curve = cfg.curve()
     geometry = cfg.geometry()
-    volts = bias_voltage_table(curve)
-    state = uniform_state(geometry, curve, volts[args.symbol])
+    # arange can end a rounding error past 90 (e.g. step 90/169)
+    theta = np.minimum(np.arange(0.0, 90.0 + args.theta_step / 2, args.theta_step), 90.0)
+    cut = array_factor(geometry, cfg.cell_amplitude, theta, args.phi)
 
-    theta = np.arange(0.0, 90.0 + args.theta_step / 2, args.theta_step)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_array_factor_csv(out, state, theta, [args.phi])
+    with open(out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["theta_deg", "phi_deg", "magnitude_db"])
+        for t, mag in zip(theta, cut):
+            # the floor keeps nulls finite in dB
+            writer.writerow([f"{t:.6g}", f"{args.phi:.6g}", f"{20.0 * np.log10(max(mag, 1e-12)):.6f}"])
 
-    # A uniform state peaks at broadside, and the cut covers one side of
-    # the main lobe: its edge is the last theta before |AF| first drops
-    # below half power.
-    cut = array_factor_cut(state, theta, args.phi)
+    # The panel peaks at broadside, and the cut covers one side of the
+    # main lobe: its edge is the last theta before |AF| first drops below
+    # half power.
     below = np.flatnonzero(cut < cut[0] / np.sqrt(2.0))
     edge = theta[below[0] - 1] if below.size else theta[-1]
     _emit({
@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constellation)
 
     p = sub.add_parser("pattern", help="far-field theta cut of the uniformly biased panel")
-    p.add_argument("--symbol", type=int, default=0, help="8PSK index selecting the bias voltage")
     p.add_argument("--phi", type=float, default=0.0, help="azimuth of the cut, degrees")
     p.add_argument("--theta-step", type=float, default=0.25, help="theta spacing, degrees")
     p.add_argument("--config", help="key = value config file")

@@ -66,10 +66,18 @@ class SimConfig:
     rate_sweep_snr_db: float = 14.0         # fixed channel SNR for symbol-rate sweeps
 
     def __post_init__(self) -> None:
-        if self.oversampling < 1:
-            raise ValueError("oversampling must be >= 1")
-        if not (math.isfinite(self.symbol_rate_hz) and self.symbol_rate_hz > 0):
-            raise ValueError("symbol_rate_hz must be finite and positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+                raise ValueError(f"{f.name} must be finite")
+        for name in ("oversampling", "min_errors", "max_bits", "trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.symbol_rate_hz <= 0:
+            raise ValueError("symbol_rate_hz must be positive")
+        if not 0.0 <= self.sync_threshold <= 1.0:
+            raise ValueError("sync_threshold must lie in [0, 1]")
         # The per-module objects validate their own fields.
         for build in (self.curve, self.rc, self.geometry, self.layout, self.budget):
             build()
@@ -116,7 +124,10 @@ def load_config(path) -> SimConfig:
             key = key.strip()
             if key not in defaults:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse_value(text.strip(), defaults[key])
+            try:
+                values[key] = _parse_value(text.strip(), defaults[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
     return SimConfig(**values)
 
 

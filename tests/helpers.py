@@ -4,7 +4,6 @@ import numpy as np
 
 from metapsk.baseband import FrameLayout, TxMode, build_frame, synthesize
 from metapsk.cell import RcDynamics, VoltagePhaseCurve, voltage_to_reflection
-from metapsk.surface import SurfaceState
 
 DEFAULT_RATE = 2.048e6
 DEFAULT_OVS = 8
@@ -15,9 +14,9 @@ def rc_step(rc: RcDynamics, v_now: float, v_target: float) -> float:
     return v_target + (v_now - v_target) * rc.alpha
 
 
-def reflect_sample(state: SurfaceState, incident_amplitude: float = 1.0) -> complex:
-    """Complex baseband sample reflected by the surface under plane-wave feed."""
-    gamma = voltage_to_reflection(state.curve, state.voltages)
+def reflect_sample(curve: VoltagePhaseCurve, voltages, incident_amplitude: float = 1.0) -> complex:
+    """Complex baseband sample reflected under plane-wave feed by cells biased at ``voltages``."""
+    gamma = voltage_to_reflection(curve, np.asarray(voltages, dtype=float))
     return complex(incident_amplitude * gamma.mean())
 
 

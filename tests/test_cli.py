@@ -136,11 +136,25 @@ class TestSweep:
             ("symbol_rate_hz = nan", "symbol_rate_hz"),
             ("tau_s = -1e-9", "tau_s"),
             ("rows = 0", "grid"),
+            ("sync_threshold = 1.5", "sync_threshold"),
+            ("sync_threshold = nan", "sync_threshold"),
+            ("min_errors = 0", "min_errors"),
+            ("max_bits = -5", "max_bits"),
+            ("trials = 0", "trials"),
+            ("cell_pitch_m = nan", "cell_pitch_m"),
+            ("tau_s = nan", "tau_s"),
+            ("phase_span_deg = nan", "phase_span_deg"),
+            ("phase_offset_deg = nan", "phase_offset_deg"),
+            ("incident_amplitude = nan", "incident_amplitude"),
+            ("power_grid_dbm = -30, inf", "power_grid_dbm"),
+            ("oversampling = 8.5", "bad.cfg:1: oversampling"),
         ):
             bad.write_text(line + "\n")
-            code, _, err = run_cli(capsys, "sweep", "--var", "snr", "--values", "6",
-                                   "--trials", "1", "--config", str(bad), "--out", str(tmp_path))
+            code, out, err = run_cli(capsys, "sweep", "--var", "snr", "--values", "6",
+                                     "--trials", "1", "--config", str(bad), "--out", str(tmp_path))
             assert code == 1, line
+            assert out == "", line
+            assert len(err.splitlines()) == 1, line
             assert message in json.loads(err)["error"], line
 
 
@@ -250,10 +264,28 @@ class TestPattern:
         assert report["aperture"] == [8, 32]
         assert report["broadside_af"] == pytest.approx(256 * math.sqrt(0.85), rel=1e-12)
 
+    def test_csv_has_one_row_per_theta(self, capsys, tmp_path):
+        out = tmp_path / "af.csv"
+        stdout_json(capsys, "pattern", "--phi=90", "--theta-step=15", "--out", str(out))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["theta_deg", "phi_deg", "magnitude_db"]
+        assert [r[0] for r in rows[1:]] == ["0", "15", "30", "45", "60", "75", "90"]
+        assert {r[1] for r in rows[1:]} == {"90"}
+        assert float(rows[1][2]) == pytest.approx(20 * math.log10(math.sqrt(0.85)), abs=1e-6)
+
+    def test_step_that_overshoots_90_in_floating_point(self, capsys, tmp_path):
+        """arange(0, 90 + step / 2, step) ends at 90.00000000000001 for step 90 / 169."""
+        out = tmp_path / "af.csv"
+        stdout_json(capsys, "pattern", "--theta-step=0.5325443786982249", "--out", str(out))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 170
+        assert rows[-1][:2] == ["90", "0"]
+
     @pytest.mark.parametrize("flag", ["--theta-step=0", "--theta-step=-1", "--theta-step=nan",
                                       "--theta-step=inf", "--theta-step=91", "--phi=360",
-                                      "--phi=-1", "--phi=nan", "--symbol=8", "--symbol=9",
-                                      "--symbol=-1"])
+                                      "--phi=-1", "--phi=nan"])
     def test_bad_grid_rejected_before_writing(self, capsys, tmp_path, flag):
         out = tmp_path / "af" / "pattern.csv"
         code, stdout, err = run_cli(capsys, "pattern", flag, "--out", str(out))
@@ -278,7 +310,7 @@ ARTIFACT_SHA256 = {
     "constellation_power.csv": "c5ec01a0d30a6813a58368ac67a0fd9077e100c35720f1860e53462f65bafd72",
     "constellation_snr.csv": "61f65bfa1f24e4f858c3b79dbfd1fa35c8327adfeb805d3abd7e5f465ecf4915",
     "pattern.csv": "1f4f66a26fbf50b738c90987d8dac435b07e65baa2cb8018ca6c929c4be47ad9",
-    "pattern_symbol3_phi90.csv": "97fd40a42d13a53f71e137e24a39d4113eeaf6666b7b41bbcef888b1f5fab7fd",
+    "pattern_phi90.csv": "97fd40a42d13a53f71e137e24a39d4113eeaf6666b7b41bbcef888b1f5fab7fd",
 }
 
 
@@ -290,8 +322,8 @@ def test_artifacts_match_pinned_digests(capsys, tmp_path):
         assert main(["constellation", flag, value, "--seed", "11",
                      "--out", str(tmp_path / f"constellation_{name}.csv")]) == 0
     assert main(["pattern", "--out", str(tmp_path / "pattern.csv")]) == 0
-    assert main(["pattern", "--symbol", "3", "--phi", "90", "--theta-step", "1",
-                 "--out", str(tmp_path / "pattern_symbol3_phi90.csv")]) == 0
+    assert main(["pattern", "--phi", "90", "--theta-step", "1",
+                 "--out", str(tmp_path / "pattern_phi90.csv")]) == 0
     capsys.readouterr()
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in ARTIFACT_SHA256}

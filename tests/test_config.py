@@ -1,14 +1,48 @@
 """Configuration file round-trips and derived-object glue."""
 
 import math
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from metapsk.config import SimConfig, load_config, save_config
 
 REPO_DEFAULT_CFG = Path(__file__).parent.parent / "configs" / "default.cfg"
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e12)
+# Fields whose owners accept less than any finite float.
+_CONSTRAINED = {
+    "v_min": st.floats(-1e3, 0.0),
+    "v_max": st.floats(1e-3, 1e3),
+    "phase_span_deg": st.floats(360.0, 1e4),
+    "cell_amplitude": st.floats(0.0, 1.0, exclude_min=True),
+    "tau_s": st.floats(0.0, 1.0),
+    "cell_pitch_m": _POSITIVE,
+    "carrier_freq_hz": _POSITIVE,
+    "symbol_rate_hz": _POSITIVE,
+    "reflectivity_loss_db": st.floats(0.0, 100.0),
+    "modulation_excess_loss_db": st.floats(0.0, 100.0),
+    "sync_threshold": st.floats(0.0, 1.0),
+}
+
+
+def _field_values(f):
+    if f.name in _CONSTRAINED:
+        return _CONSTRAINED[f.name]
+    if isinstance(f.default, int):
+        return st.integers(1, 10**9)
+    if isinstance(f.default, tuple):
+        return st.lists(_FINITE, max_size=5).map(tuple)
+    return _FINITE
+
+
+sim_configs = st.fixed_dictionaries({f.name: _field_values(f) for f in fields(SimConfig)}).map(
+    lambda values: SimConfig(**values))
 
 
 class TestRoundTrip:
@@ -33,6 +67,16 @@ class TestRoundTrip:
         save_config(SimConfig(), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @given(cfg=sim_configs)
+    def test_any_valid_config_survives_save_and_load(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.cfg", Path(tmp) / "b.cfg"
+            save_config(cfg, first)
+            back = load_config(first)
+            assert back == cfg
+            save_config(back, second)
+            assert second.read_bytes() == first.read_bytes()
+
     def test_shipped_default_file_matches_code_defaults(self, tmp_path):
         assert load_config(REPO_DEFAULT_CFG) == SimConfig()
         regenerated = tmp_path / "default.cfg"
@@ -54,9 +98,14 @@ class TestParsing:
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "sim.cfg"
-        path.write_text("tau_s 1e-08\n")
-        with pytest.raises(ValueError, match="expected"):
-            load_config(path)
+        for text, message in (
+            ("tau_s 1e-08\n", "sim.cfg:1: expected"),
+            ("# int field\noversampling = 8.5\n", "sim.cfg:2: oversampling: invalid literal"),
+            ("snr_grid_db = 1, two\n", "sim.cfg:1: snr_grid_db: could not convert"),
+        ):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=message):
+                load_config(path)
 
     def test_partial_file_keeps_other_defaults(self, tmp_path):
         path = tmp_path / "sim.cfg"
@@ -65,6 +114,19 @@ class TestParsing:
         assert cfg.oversampling == 2
         assert cfg.snr_grid_db == (3.0,) and type(cfg.snr_grid_db[0]) is float
         assert cfg.symbol_rate_hz == SimConfig().symbol_rate_hz
+
+
+class TestValidation:
+    def test_every_float_field_must_be_finite(self):
+        for f in fields(SimConfig):
+            if isinstance(f.default, tuple):
+                bad = (1.0, math.nan)
+            elif isinstance(f.default, float):
+                bad = math.inf
+            else:
+                continue
+            with pytest.raises(ValueError, match=f"^{f.name} must be finite$"):
+                SimConfig(**{f.name: bad})
 
 
 class TestDerivedObjects:

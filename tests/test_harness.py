@@ -2,7 +2,9 @@
 
 import json
 import math
-from dataclasses import replace
+import tempfile
+from dataclasses import astuple, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from metapsk.config import SimConfig
 from helpers import loglinear_curve, synthetic_point
 from metapsk.harness import (
     HardwareCounts,
+    PointResult,
     SweepSpec,
     SweepVar,
     compare_modes,
@@ -203,6 +206,28 @@ class TestResultsTable:
             assert (a.bits, a.bit_errors, a.frames, a.sync_failures) == \
                    (b.bits, b.bit_errors, b.frames, b.sync_failures)
             assert a.low_confidence == b.low_confidence
+
+    @given(results=st.lists(st.builds(
+        PointResult,
+        mode=st.sampled_from(TxMode), sweep_var=st.sampled_from(SweepVar),
+        value=st.floats(), symbol_rate_hz=st.floats(), snr_db=st.floats(),
+        tx_power_dbm=st.none() | st.floats(), ber=st.floats(), ser=st.floats(),
+        evm_rms_pct=st.floats(), est_snr_db=st.floats(),
+        bits=st.integers(0, 2**63), bit_errors=st.integers(0, 2**63),
+        frames=st.integers(0, 2**31), sync_failures=st.integers(0, 2**31),
+        low_confidence=st.booleans(),
+    ), max_size=4))
+    def test_any_rows_survive_write_and_read(self, results):
+        def nan_aware(r):
+            return tuple("nan" if isinstance(v, float) and math.isnan(v) else v for v in astuple(r))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+            write_results_csv(first, results)
+            back = read_results_csv(first)
+            assert [nan_aware(r) for r in back] == [nan_aware(r) for r in results]
+            write_results_csv(second, back)
+            assert second.read_bytes() == first.read_bytes()
 
     def test_power_sweep_records_tx_power(self, tmp_path):
         spec = SweepSpec(SweepVar.TX_POWER, values=(-22.0,),
