@@ -93,22 +93,20 @@ SYNC_LFSR_SEED = 0b100101
 
 
 @_frozen
-def pn_chips(length: int, taps=SYNC_LFSR_TAPS, seed: int = SYNC_LFSR_SEED) -> np.ndarray:
-    """First ``length`` chips of the LFSR sequence, extended cyclically.
+def pn_chips(length: int) -> np.ndarray:
+    """First ``length`` chips of the sync LFSR sequence, extended cyclically.
 
-    ``taps`` are the nonzero exponents of the feedback polynomial besides
-    the constant term, so (6, 5) realizes a(n+6) = a(n+5) xor a(n).
+    ``SYNC_LFSR_TAPS`` are the nonzero exponents of the feedback polynomial
+    besides the constant term, so (6, 5) realizes a(n+6) = a(n+5) xor a(n).
     """
-    degree = max(taps)
+    degree = max(SYNC_LFSR_TAPS)
     period = 2**degree - 1
-    if not 0 < seed < 2**degree:
-        raise ValueError("seed must be a nonzero register load")
-    state = [(seed >> i) & 1 for i in range(degree)]
+    state = [(SYNC_LFSR_SEED >> i) & 1 for i in range(degree)]
     chips = []
     for _ in range(period):
         chips.append(state[0])
         fb = state[0]
-        for t in taps:
+        for t in SYNC_LFSR_TAPS:
             if t != degree:
                 fb ^= state[t]
         state = state[1:] + [fb]

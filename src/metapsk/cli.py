@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -48,7 +49,7 @@ def _config(args) -> SimConfig:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def cmd_sweep(args) -> int:
@@ -103,9 +104,11 @@ def cmd_constellation(args) -> int:
     mode = TxMode(args.mode)
     if args.power is not None:
         channel = _channel_for(SweepVar.TX_POWER, args.power, cfg)
+    elif not math.isfinite(args.snr):  # the channel takes +inf as "no noise"; the CLI does not
+        raise ValueError(f"--snr must be finite, got {args.snr}")
     else:
         channel = _channel_for(SweepVar.SNR, args.snr, cfg)
-    received, metrics = run_trial(mode, cfg, cfg.symbol_rate_hz, channel, args.seed)
+    received, metrics = run_trial(mode, cfg, channel, args.seed)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

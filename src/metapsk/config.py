@@ -88,9 +88,8 @@ class SimConfig:
         return VoltagePhaseCurve(self.v_min, self.v_max, self.phase_at_vmin_deg,
                                  self.phase_span_deg, self.cell_amplitude)
 
-    def rc(self, symbol_rate_hz: float | None = None) -> RcDynamics:
-        rate = self.symbol_rate_hz if symbol_rate_hz is None else symbol_rate_hz
-        return RcDynamics(self.tau_s, 1.0 / (rate * self.oversampling))
+    def rc(self) -> RcDynamics:
+        return RcDynamics(self.tau_s, 1.0 / (self.symbol_rate_hz * self.oversampling))
 
     def geometry(self) -> SurfaceGeometry:
         return SurfaceGeometry(self.rows, self.cols, self.cell_pitch_m, self.carrier_freq_hz)

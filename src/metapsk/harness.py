@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import get_type_hints
 
@@ -83,10 +83,10 @@ def _channel_for(var: SweepVar, value: float, cfg: SimConfig) -> ChannelConfig:
     return ChannelConfig(snr_db=cfg.rate_sweep_snr_db, **common)
 
 
-def run_trial(mode: TxMode, cfg: SimConfig, symbol_rate_hz: float,
-              channel: ChannelConfig, seed: int):
+def run_trial(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seed: int):
     """One frame through the chain: (received frame, link metrics).
 
+    Every setting, the symbol rate included, comes from ``cfg``.
     Raises :class:`SyncError` when the receiver finds no frame.
     """
     layout = cfg.layout()
@@ -94,7 +94,7 @@ def run_trial(mode: TxMode, cfg: SimConfig, symbol_rate_hz: float,
     payload = rng.integers(0, 2, size=layout.payload_bits)
     frame = build_frame(payload, layout)
     wave = synthesize(
-        frame, mode, cfg.curve(), cfg.rc(symbol_rate_hz), cfg.oversampling,
+        frame, mode, cfg.curve(), cfg.rc(), cfg.oversampling,
         phase_offset_deg=cfg.phase_offset_deg, incident_amplitude=cfg.incident_amplitude,
     )
     rx = apply_channel(wave, channel, derive_seed(seed, "noise"))
@@ -143,7 +143,7 @@ class _PointAccumulator:
         self.evm_sq_sum += metrics.evm_rms_pct**2 * metrics.symbols_compared
         self.snr_lin_sum += 10.0 ** (metrics.est_snr_db / 10.0)
 
-    def result(self, mode, sweep_var, value, symbol_rate_hz, snr_db, tx_power_dbm, min_errors) -> PointResult:
+    def result(self, mode, sweep_var, value, cfg, snr_db, tx_power_dbm) -> PointResult:
         """The point's row; a point where no frame passed sync has NaN rates."""
         if self.frames:
             ber = self.bit_errors / self.bits
@@ -153,29 +153,31 @@ class _PointAccumulator:
         else:
             ber = ser = evm = est_snr = math.nan
         return PointResult(
-            mode=mode, sweep_var=sweep_var, value=value, symbol_rate_hz=symbol_rate_hz,
+            mode=mode, sweep_var=sweep_var, value=value, symbol_rate_hz=cfg.symbol_rate_hz,
             snr_db=snr_db, tx_power_dbm=tx_power_dbm,
             ber=ber, ser=ser, evm_rms_pct=evm, est_snr_db=est_snr,
             bits=self.bits, bit_errors=self.bit_errors,
             frames=self.frames, sync_failures=self.sync_failures,
-            low_confidence=self.bit_errors < min_errors,
+            low_confidence=self.bit_errors < cfg.min_errors,
         )
 
 
 def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
-              master_seed: int, trials: int,
-              min_errors: int | None = None, max_bits: int | None = None,
-              paired: bool = False) -> PointResult:
+              master_seed: int, trials: int, paired: bool = False) -> PointResult:
     """Measure one sweep point, stopping at the confidence floor.
+
+    The point stops once it has ``cfg.min_errors`` bit errors or
+    ``cfg.max_bits`` bits, and is ``low_confidence`` below
+    ``cfg.min_errors`` errors.  A symbol-rate point runs every trial at
+    ``value``; any other point at ``cfg.symbol_rate_hz``.
 
     With ``paired=True`` the trial seeds do not include the mode, so runs
     of different modes at the same value see identical payloads and noise
     (common random numbers) and the stopping rule is disabled to keep the
     trial count aligned across modes.
     """
-    min_errors = cfg.min_errors if min_errors is None else min_errors
-    max_bits = cfg.max_bits if max_bits is None else max_bits
-    symbol_rate = value if var is SweepVar.SYMBOL_RATE else cfg.symbol_rate_hz
+    if var is SweepVar.SYMBOL_RATE:
+        cfg = replace(cfg, symbol_rate_hz=value)
     channel = _channel_for(var, value, cfg)
     snr = realized_snr_db(channel, mode)
 
@@ -186,38 +188,28 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
         else:
             seed = derive_seed(master_seed, mode.value, var.value, repr(float(value)), trial)
         try:
-            _, metrics = run_trial(mode, cfg, symbol_rate, channel, seed)
+            _, metrics = run_trial(mode, cfg, channel, seed)
         except SyncError:
             acc.sync_failures += 1
         else:
             acc.add(metrics)
-        if not paired and (acc.bit_errors >= min_errors or acc.bits >= max_bits):
+        if not paired and (acc.bit_errors >= cfg.min_errors or acc.bits >= cfg.max_bits):
             break
     tx_power = value if var is SweepVar.TX_POWER else None
-    return acc.result(mode, var, value, symbol_rate, snr, tx_power, min_errors)
+    return acc.result(mode, var, value, cfg, snr, tx_power)
 
 
-def run_sweep(spec: SweepSpec, cfg: SimConfig | None = None,
-              min_errors: int | None = None, max_bits: int | None = None) -> list[PointResult]:
-    """Every point of ``spec``, mode by mode; ``spec.paired`` is :func:`run_point`'s ``paired``."""
-    cfg = SimConfig() if cfg is None else cfg
-    results = []
-    for mode in spec.modes:
-        for value in spec.values:
-            results.append(
-                run_point(mode, spec.var, value, cfg, spec.master_seed, spec.trials,
-                          min_errors=min_errors, max_bits=max_bits, paired=spec.paired)
-            )
-    return results
+def run_sweep(spec: SweepSpec, cfg: SimConfig) -> list[PointResult]:
+    """Every point of ``spec`` under ``cfg``, mode by mode.
 
-
-def run_paired_point(var: SweepVar, value: float, cfg: SimConfig, master_seed: int,
-                     trials: int, modes=(TxMode.METASURFACE, TxMode.CONVENTIONAL)) -> dict:
-    """Both modes over identical payload and noise realizations."""
-    return {
-        mode: run_point(mode, var, value, cfg, master_seed, trials, paired=True)
-        for mode in modes
-    }
+    ``spec.paired`` is :func:`run_point`'s ``paired``: a paired sweep is
+    the one way to run both modes over the same payloads and noise.
+    """
+    return [
+        run_point(mode, spec.var, value, cfg, spec.master_seed, spec.trials, paired=spec.paired)
+        for mode in spec.modes
+        for value in spec.values
+    ]
 
 
 # (format, parse) for each field type of PointResult.
@@ -322,8 +314,11 @@ def compare_modes(results: list[PointResult], targets=(1e-2, 3e-3, 1e-3)) -> lis
     """Horizontal dB gap (metasurface minus conventional) at target BERs.
 
     Takes the results of one SNR or one power sweep covering both modes;
-    anything else has no gap in dB and raises :class:`ValueError`.
+    anything else has no gap in dB and raises :class:`ValueError`, as
+    does a target outside (0, 1).
     """
+    if not all(0.0 < t < 1.0 for t in targets):
+        raise ValueError(f"target BERs must lie in (0, 1), got {list(targets)}")
     surf = [r for r in results if r.mode is TxMode.METASURFACE]
     conv = [r for r in results if r.mode is TxMode.CONVENTIONAL]
     if not surf or not conv:

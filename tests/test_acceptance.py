@@ -39,7 +39,6 @@ from metapsk.harness import (
     SweepVar,
     compare_modes,
     hardware_counts,
-    run_paired_point,
     run_point,
     run_sweep,
     write_results_csv,
@@ -65,15 +64,14 @@ class TestCriterion1BerAnchor:
         # carries the equalizer's own estimation noise (~0.05 dB), well
         # inside the 15 % envelope.
         started = time.time()
-        cfg = SimConfig(oversampling=1)
+        cfg = SimConfig(oversampling=1, min_errors=2000, max_bits=60_000_000)
         tolerance = 0.15
         worst = 0.0
         lines = []
         for eb_n0_db in (6.0, 8.0, 10.0, 12.0):
             snr_db = snr_from_eb_n0_db(eb_n0_db, cfg.oversampling)
             point = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, snr_db, cfg,
-                              master_seed=42, trials=20000,
-                              min_errors=2000, max_bits=60_000_000)
+                              master_seed=42, trials=20000)
             theory = union_bound_ber(eb_n0_db)
             rel = (point.ber - theory) / theory
             worst = max(worst, abs(rel))
@@ -94,9 +92,8 @@ class TestCriterion2ModeEquivalence:
         cfg = SimConfig(tau_s=0.0, cell_amplitude=1.0)
         worst_z = 0.0
         for snr_db in cfg.snr_grid_db:
-            pair = run_paired_point(SweepVar.SNR, snr_db, cfg, master_seed=7, trials=150)
-            surf = pair[TxMode.METASURFACE]
-            conv = pair[TxMode.CONVENTIONAL]
+            surf, conv = run_sweep(SweepSpec(SweepVar.SNR, (snr_db,), trials=150,
+                                             master_seed=7, paired=True), cfg)
             assert surf.bits == conv.bits
             pooled = (surf.bit_errors + conv.bit_errors) / (surf.bits + conv.bits)
             sigma = math.sqrt(2.0 * pooled * (1.0 - pooled) / surf.bits)
@@ -115,10 +112,10 @@ class TestCriterion2ModeEquivalence:
 class TestCriterion3PowerOffset:
     def test_six_db_budget_recovered_at_target_ber(self):
         started = time.time()
-        cfg = SimConfig()
+        cfg = SimConfig(min_errors=400)
         spec = SweepSpec(SweepVar.TX_POWER, values=cfg.power_grid_dbm,
                          trials=400, master_seed=271828)
-        results = run_sweep(spec, cfg, min_errors=400)
+        results = run_sweep(spec, cfg)
         gaps = {g.target_ber: g for g in compare_modes(results)}
         gap = gaps[1e-3].gap_db
         elapsed = time.time() - started
@@ -138,10 +135,10 @@ class TestCriterion4RateDegradation:
         cfg = SimConfig()  # tau 40 ns, SNR pinned by rate_sweep_snr_db
         surf, conv = [], []
         for rate in cfg.rate_grid_hz:
-            pair = run_paired_point(SweepVar.SYMBOL_RATE, rate, cfg,
-                                    master_seed=3, trials=300)
-            surf.append(pair[TxMode.METASURFACE])
-            conv.append(pair[TxMode.CONVENTIONAL])
+            s, c = run_sweep(SweepSpec(SweepVar.SYMBOL_RATE, (rate,), trials=300,
+                                       master_seed=3, paired=True), cfg)
+            surf.append(s)
+            conv.append(c)
 
         # surface curve: no decrease beyond Monte-Carlo noise, and a
         # significant rise from the slowest to the fastest rate
@@ -245,10 +242,10 @@ class TestCriterion7Invariants:
         # the same sweep twice produces the same bytes
         spec = SweepSpec(SweepVar.SNR, values=(4.0, 8.0),
                          modes=(TxMode.CONVENTIONAL,), trials=2, master_seed=5)
-        cfg = SimConfig(oversampling=1)
+        cfg = SimConfig(oversampling=1, min_errors=50)
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_results_csv(first, run_sweep(spec, cfg, min_errors=50))
-        write_results_csv(second, run_sweep(spec, cfg, min_errors=50))
+        write_results_csv(first, run_sweep(spec, cfg))
+        write_results_csv(second, run_sweep(spec, cfg))
         assert first.read_bytes() == second.read_bytes()
 
         elapsed = time.time() - started

@@ -99,10 +99,6 @@ class TestTrainingSequences:
         np.testing.assert_array_equal(pilot, np.tile(np.arange(8), 4))
         assert np.sum(constellation()[pilot]) == pytest.approx(0.0, abs=1e-12)
 
-    def test_zero_seed_rejected(self):
-        with pytest.raises(ValueError):
-            pn_chips(10, seed=0)
-
     @pytest.mark.parametrize("fn, args", [
         (constellation, ()),
         (constellation, (22.5,)),

@@ -12,10 +12,11 @@ from metapsk.baseband import TxMode
 from metapsk.cli import main
 from metapsk.config import SimConfig
 from metapsk.harness import (
+    SweepSpec,
     SweepVar,
     read_results_csv,
-    run_paired_point,
     run_point,
+    run_sweep,
     write_results_csv,
 )
 
@@ -28,10 +29,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
 def stdout_json(capsys, *argv):
+    """The command's stdout, parsed as standard JSON (no NaN or Infinity)."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=_reject_constant)
 
 
 class TestHwCount:
@@ -77,12 +83,10 @@ class TestSweep:
                     "--trials", str(trials), "--seed", str(seed), "--out", str(tmp_path))
         rows = read_results_csv(tmp_path / "results.csv")
         cfg = SimConfig()
-        expected = {}
-        for v in values:
-            pair = run_paired_point(SweepVar.SNR, v, cfg, master_seed=seed, trials=trials)
-            assert pair[TxMode.METASURFACE].bits == pair[TxMode.CONVENTIONAL].bits
-            expected.update({(mode, v): point for mode, point in pair.items()})
-        assert {(r.mode, r.value): r for r in rows} == expected
+        spec = SweepSpec(SweepVar.SNR, values, trials=trials, master_seed=seed, paired=True)
+        assert rows == run_sweep(spec, cfg)
+        ms, conv = rows[:len(values)], rows[len(values):]
+        assert [p.bits for p in ms] == [p.bits for p in conv]
         assert all(r.frames == trials for r in rows)
         # at 0 dB the error floor would have stopped an unpaired point early
         early = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 0.0, cfg, seed, trials)
@@ -196,6 +200,18 @@ class TestCompare:
         report = stdout_json(capsys, "compare", write(SweepVar.TX_POWER, ms), mixed[1])
         assert report["gaps"][0]["gap_db"] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("target", ["nan", "0", "-1", "1"])
+    def test_target_outside_unit_interval_rejected(self, capsys, tmp_path, target):
+        ms, conv = tmp_path / "ms.csv", tmp_path / "conv.csv"
+        write_results_csv(ms, loglinear_curve(TxMode.METASURFACE, 0.0))
+        write_results_csv(conv, loglinear_curve(TxMode.CONVENTIONAL, 0.0))
+        code, out, err = run_cli(capsys, "compare", str(ms), str(conv),
+                                 "--targets", "1e-3", target)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "(0, 1)" in json.loads(err)["error"]
+
 
 class TestConstellation:
     def test_emits_iq_table_and_metrics(self, capsys, tmp_path):
@@ -234,7 +250,8 @@ class TestConstellation:
         assert len(err.splitlines()) == 1
         assert "below threshold" in json.loads(err)["error"]
 
-    @pytest.mark.parametrize("flag", ["--snr=-inf", "--snr=nan", "--power=inf", "--power=nan"])
+    @pytest.mark.parametrize("flag", ["--snr=inf", "--snr=-inf", "--snr=nan",
+                                      "--power=inf", "--power=nan"])
     def test_non_finite_channel_reported(self, capsys, tmp_path, flag):
         code, out, err = run_cli(capsys, "constellation", flag, "--out", str(tmp_path / "iq.csv"))
         assert code == 1

@@ -139,7 +139,8 @@ class TestDerivedObjects:
         cfg = SimConfig()
         rc = cfg.rc()
         assert rc.sample_period_s == pytest.approx(1.0 / (2.048e6 * 8))
-        assert cfg.rc(1.024e6).sample_period_s == pytest.approx(2 * rc.sample_period_s)
+        half_rate = replace(cfg, symbol_rate_hz=1.024e6)
+        assert half_rate.rc().sample_period_s == pytest.approx(2 * rc.sample_period_s)
 
     def test_layout_totals(self):
         layout = SimConfig().layout()

@@ -24,7 +24,6 @@ from metapsk.harness import (
     derive_seed,
     hardware_counts,
     read_results_csv,
-    run_paired_point,
     run_point,
     run_sweep,
     run_trial,
@@ -84,36 +83,36 @@ class TestSweepSpec:
 
 class TestRunPoint:
     def test_snr_sweep_ber_decreases(self):
-        cfg = fast_cfg()
+        cfg = fast_cfg(min_errors=100)
         bers = []
         for snr in (0.0, 4.0, 8.0, 12.0):
             pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, snr, cfg,
-                           master_seed=11, trials=40, min_errors=100)
+                           master_seed=11, trials=40)
             assert pt.bit_errors >= 100
             bers.append(pt.ber)
         assert bers == sorted(bers, reverse=True)
 
     def test_early_stop_at_error_floor(self):
-        pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 0.0, fast_cfg(),
-                       master_seed=12, trials=500, min_errors=100)
+        pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 0.0, fast_cfg(min_errors=100),
+                       master_seed=12, trials=500)
         assert pt.frames == 1  # one frame at SNR 0 carries well over 100 errors
         assert not pt.low_confidence
 
     def test_max_bits_stop(self):
-        pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 18.0, fast_cfg(),
-                       master_seed=13, trials=500, min_errors=10**9, max_bits=20000)
+        pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 18.0,
+                       fast_cfg(min_errors=10**9, max_bits=20000), master_seed=13, trials=500)
         assert pt.frames == 3  # 6912 payload bits per frame
         assert pt.low_confidence
 
     def test_low_confidence_flag_set_when_starved(self):
-        pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 18.0, fast_cfg(),
-                       master_seed=14, trials=1, min_errors=100)
+        pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 18.0, fast_cfg(min_errors=100),
+                       master_seed=14, trials=1)
         assert pt.bits == 6912
         assert pt.low_confidence
 
     def test_sync_failures_counted(self):
-        pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, -25.0, fast_cfg(),
-                       master_seed=15, trials=3, min_errors=1)
+        pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, -25.0, fast_cfg(min_errors=1),
+                       master_seed=15, trials=3)
         assert pt.sync_failures == 3
         assert pt.frames == 0
         assert pt.bits == 0
@@ -122,15 +121,15 @@ class TestRunPoint:
         assert pt.low_confidence
 
     def test_rate_sweep_holds_snr_constant(self):
-        cfg = fast_cfg()
+        cfg = fast_cfg(min_errors=1)
         pt = run_point(TxMode.CONVENTIONAL, SweepVar.SYMBOL_RATE, 512e3, cfg,
-                       master_seed=16, trials=2, min_errors=1)
+                       master_seed=16, trials=2)
         assert pt.snr_db == cfg.rate_sweep_snr_db
         assert pt.symbol_rate_hz == 512e3
 
     def test_paired_runs_all_trials(self):
-        pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 0.0, fast_cfg(),
-                       master_seed=17, trials=4, min_errors=1, paired=True)
+        pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 0.0, fast_cfg(min_errors=1),
+                       master_seed=17, trials=4, paired=True)
         assert pt.frames == 4
 
 
@@ -146,8 +145,8 @@ class TestRateInvariance:
     def test_trial_metrics_identical_across_rates(self, mode, tau_s):
         cfg = fast_cfg(tau_s=tau_s)
         channel = ChannelConfig(snr_db=8.0)
-        _, a = run_trial(mode, cfg, 256e3, channel, seed=33)
-        _, b = run_trial(mode, cfg, 4096e3, channel, seed=33)
+        _, a = run_trial(mode, replace(cfg, symbol_rate_hz=256e3), channel, seed=33)
+        _, b = run_trial(mode, replace(cfg, symbol_rate_hz=4096e3), channel, seed=33)
         assert a.bit_errors == b.bit_errors
         assert a.symbol_errors == b.symbol_errors
         assert a.evm_rms_pct == pytest.approx(b.evm_rms_pct, rel=1e-9)
@@ -158,26 +157,25 @@ class TestPairedSeeding:
         # tau 0 and unit cell amplitude make both transmitters emit the
         # same waveform, so paired seeding must give identical counts.
         cfg = fast_cfg(tau_s=0.0, cell_amplitude=1.0)
-        pair = run_paired_point(SweepVar.SNR, 6.0, cfg, master_seed=18, trials=3)
-        ms = pair[TxMode.METASURFACE]
-        conv = pair[TxMode.CONVENTIONAL]
+        ms, conv = run_sweep(SweepSpec(SweepVar.SNR, (6.0,), trials=3, master_seed=18,
+                                       paired=True), cfg)
         assert ms.bit_errors == conv.bit_errors
         assert ms.ser == conv.ser
         assert ms.bits == conv.bits
 
     def test_unpaired_seeds_differ_by_mode(self):
-        cfg = fast_cfg(tau_s=0.0, cell_amplitude=1.0)
+        cfg = fast_cfg(tau_s=0.0, cell_amplitude=1.0, min_errors=1)
         ms = run_point(TxMode.METASURFACE, SweepVar.SNR, 0.0, cfg,
-                       master_seed=18, trials=1, min_errors=1)
+                       master_seed=18, trials=1)
         conv = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 0.0, cfg,
-                         master_seed=18, trials=1, min_errors=1)
+                         master_seed=18, trials=1)
         assert ms.bit_errors != conv.bit_errors
 
 
 class TestResultsTable:
     def _small_sweep(self):
         spec = SweepSpec(SweepVar.SNR, values=(4.0, 8.0), trials=3, master_seed=19)
-        return spec, run_sweep(spec, fast_cfg(), min_errors=50)
+        return spec, run_sweep(spec, fast_cfg(min_errors=50))
 
     def test_rerun_is_byte_identical(self, tmp_path):
         spec, results = self._small_sweep()
@@ -232,7 +230,7 @@ class TestResultsTable:
     def test_power_sweep_records_tx_power(self, tmp_path):
         spec = SweepSpec(SweepVar.TX_POWER, values=(-22.0,),
                          modes=(TxMode.CONVENTIONAL,), trials=1, master_seed=20)
-        results = run_sweep(spec, fast_cfg(), min_errors=1)
+        results = run_sweep(spec, fast_cfg(min_errors=1))
         assert results[0].tx_power_dbm == -22.0
         assert results[0].snr_db == pytest.approx(23.0)  # -22 - 50 + 95
         path = tmp_path / "results.csv"

@@ -35,11 +35,11 @@ PROBE = textwrap.dedent("""
 
     cfg = SimConfig()
     channel = ChannelConfig(snr_db=20.0)
-    harness.run_trial(TxMode.CONVENTIONAL, cfg, cfg.symbol_rate_hz, channel, 1)
+    harness.run_trial(TxMode.CONVENTIONAL, cfg, channel, 1)
     harness.hardware_counts(256, TxMode.CONVENTIONAL)
     surface.array_factor(cfg.geometry(), cfg.cell_amplitude, [0.0, 10.0, 20.0], 0.0)
     numpy_only = scipy_modules()
-    harness.run_trial(TxMode.METASURFACE, cfg, cfg.symbol_rate_hz, channel, 1)
+    harness.run_trial(TxMode.METASURFACE, cfg, channel, 1)
     print(json.dumps({"numpy_only": numpy_only, "after_metasurface": scipy_modules()}))
 """)
 
