@@ -194,11 +194,10 @@ def build_frame(payload_bits, layout: FrameLayout = FrameLayout()) -> Frame:
 
 @dataclass(frozen=True)
 class Waveform:
-    """Complex baseband samples, ``oversampling`` per symbol, from one transmitter."""
+    """Complex baseband samples, ``oversampling`` per symbol."""
 
     samples: np.ndarray
     oversampling: int
-    mode: TxMode
 
     def __post_init__(self) -> None:
         if self.oversampling < 1:
@@ -233,4 +232,4 @@ def synthesize(
         samples = uniform_reflection(curve, trajectory, incident_amplitude)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return Waveform(samples, oversampling, mode)
+    return Waveform(samples, oversampling)

@@ -9,10 +9,9 @@ variance.  Two ways to set it:
   (transmit power minus link loss, dBm) and the noise sits at a fixed
   floor.
 
-Surface-mode waveforms are charged an extra loss in power-budget mode:
-the cells return only part of the incident power, and reflection
-modulation spends carrier power that a dedicated amplifier chain would
-deliver to the antenna.  Both terms live in :class:`LossBudget`.
+The channel knows nothing about the transmitter: any loss a transmitter
+is charged (the surface's reflectivity and modulation loss) is already
+part of ``link_loss_db`` when the link is built.
 
 The noise seed is an argument of :func:`apply_channel`, not part of the
 channel: the same config and seed reproduce the output.
@@ -25,29 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baseband import BITS_PER_SYMBOL, TxMode, Waveform
-
-# Loss from the 85 % power reflectivity of the cells.
-REFLECTIVITY_LOSS_DB = 10.0 * math.log10(1.0 / 0.85)
-
-
-@dataclass(frozen=True)
-class LossBudget:
-    """Extra path loss charged to the reflection-modulated transmitter.
-
-    The default excess term is calibrated so the total is 6.0 dB.
-    """
-
-    reflectivity_loss_db: float = REFLECTIVITY_LOSS_DB
-    modulation_excess_loss_db: float = 6.0 - REFLECTIVITY_LOSS_DB
-
-    def __post_init__(self) -> None:
-        if self.reflectivity_loss_db < 0 or self.modulation_excess_loss_db < 0:
-            raise ValueError("loss terms must be non-negative")
-
-    @property
-    def total_db(self) -> float:
-        return self.reflectivity_loss_db + self.modulation_excess_loss_db
+from .baseband import BITS_PER_SYMBOL, Waveform
 
 
 @dataclass(frozen=True)
@@ -56,9 +33,8 @@ class ChannelConfig:
 
     snr_db: float | None = None
     tx_power_dbm: float | None = None
-    link_loss_db: float = 50.0
+    link_loss_db: float = 50.0  # transmit to received power, dB, transmitter losses included
     noise_floor_dbm: float = -95.0
-    budget: LossBudget = LossBudget()
 
     def __post_init__(self) -> None:
         if (self.snr_db is None) == (self.tx_power_dbm is None):
@@ -67,14 +43,6 @@ class ChannelConfig:
             raise ValueError(f"snr_db must be finite or +inf (no noise), got {self.snr_db}")
         if self.tx_power_dbm is not None and not math.isfinite(self.tx_power_dbm):
             raise ValueError(f"tx_power_dbm must be finite, got {self.tx_power_dbm}")
-
-
-def _path_loss_db(cfg: ChannelConfig, mode: TxMode) -> float:
-    """Loss from transmit to received power: the link, plus the surface budget for that mode."""
-    loss = cfg.link_loss_db
-    if mode is TxMode.METASURFACE:
-        loss += cfg.budget.total_db
-    return loss
 
 
 def _db_to_linear(db: float, what: str) -> float:
@@ -88,11 +56,11 @@ def _db_to_linear(db: float, what: str) -> float:
     return linear
 
 
-def realized_snr_db(cfg: ChannelConfig, mode: TxMode) -> float:
-    """Per-sample SNR the channel will realize for a waveform of ``mode``."""
+def realized_snr_db(cfg: ChannelConfig) -> float:
+    """Per-sample SNR the channel will realize."""
     if cfg.snr_db is not None:
         return cfg.snr_db
-    return cfg.tx_power_dbm - _path_loss_db(cfg, mode) - cfg.noise_floor_dbm
+    return cfg.tx_power_dbm - cfg.link_loss_db - cfg.noise_floor_dbm
 
 
 def apply_channel(wave: Waveform, cfg: ChannelConfig, seed: int) -> Waveform:
@@ -114,7 +82,7 @@ def apply_channel(wave: Waveform, cfg: ChannelConfig, seed: int) -> Waveform:
         gain = 1.0
         noise_power = p_in / _db_to_linear(cfg.snr_db, "SNR")
     else:
-        p_rx = _db_to_linear(cfg.tx_power_dbm - _path_loss_db(cfg, wave.mode), "received power")
+        p_rx = _db_to_linear(cfg.tx_power_dbm - cfg.link_loss_db, "received power")
         gain = math.sqrt(p_rx / p_in)
         noise_power = _db_to_linear(cfg.noise_floor_dbm, "noise floor")
     if not (0.0 < gain < math.inf and 0.0 < noise_power < math.inf):

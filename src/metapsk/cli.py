@@ -103,11 +103,11 @@ def cmd_constellation(args) -> int:
     cfg = _config(args)
     mode = TxMode(args.mode)
     if args.power is not None:
-        channel = _channel_for(SweepVar.TX_POWER, args.power, cfg)
+        channel = _channel_for(SweepVar.TX_POWER, args.power, cfg, mode)
     elif not math.isfinite(args.snr):  # the channel takes +inf as "no noise"; the CLI does not
         raise ValueError(f"--snr must be finite, got {args.snr}")
     else:
-        channel = _channel_for(SweepVar.SNR, args.snr, cfg)
+        channel = _channel_for(SweepVar.SNR, args.snr, cfg, mode)
     received, metrics = run_trial(mode, cfg, channel, args.seed)
 
     with open(args.out, "w", newline="") as fh:
@@ -118,7 +118,7 @@ def cmd_constellation(args) -> int:
 
     _emit({
         "mode": mode.value,
-        "snr_db": realized_snr_db(channel, mode),
+        "snr_db": realized_snr_db(channel),
         "tx_power_dbm": args.power,
         "ber": metrics.ber,
         "ser": metrics.ser,

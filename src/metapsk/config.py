@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 from .baseband import FrameLayout
 from .cell import RcDynamics, VoltagePhaseCurve
-from .channel import ChannelConfig, LossBudget
+from .channel import ChannelConfig
 from .receiver import SYNC_THRESHOLD_DEFAULT
 from .surface import SurfaceGeometry
 
@@ -30,7 +30,7 @@ class SimConfig:
     phase_span_deg: float = VoltagePhaseCurve.phase_span_deg
     cell_amplitude: float = VoltagePhaseCurve.amplitude
     tau_s: float = 40e-9                    # bias-line settling time constant, seconds
-    phase_offset_deg: float = 0.0           # constellation rotation
+    phase_offset_deg: float = 0.0           # transmitter constellation rotation
 
     # surface
     rows: int = SurfaceGeometry.rows
@@ -49,8 +49,11 @@ class SimConfig:
     # channel and link budget
     link_loss_db: float = ChannelConfig.link_loss_db        # antenna-to-antenna loss, dB
     noise_floor_dbm: float = ChannelConfig.noise_floor_dbm  # receiver noise power in the sample bandwidth
-    reflectivity_loss_db: float = LossBudget.reflectivity_loss_db
-    modulation_excess_loss_db: float = LossBudget.modulation_excess_loss_db
+    # extra loss charged to the surface transmitter: the cells' 85 % power
+    # reflectivity, and the carrier power reflection modulation spends,
+    # calibrated so the two total 6.0 dB
+    reflectivity_loss_db: float = 10.0 * math.log10(1.0 / 0.85)
+    modulation_excess_loss_db: float = 6.0 - 10.0 * math.log10(1.0 / 0.85)
 
     # receiver
     sync_threshold: float = SYNC_THRESHOLD_DEFAULT  # minimum normalized correlation peak
@@ -78,8 +81,11 @@ class SimConfig:
             raise ValueError("symbol_rate_hz must be positive")
         if not 0.0 <= self.sync_threshold <= 1.0:
             raise ValueError("sync_threshold must lie in [0, 1]")
+        for name in ("reflectivity_loss_db", "modulation_excess_loss_db"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         # The per-module objects validate their own fields.
-        for build in (self.curve, self.rc, self.geometry, self.layout, self.budget):
+        for build in (self.curve, self.rc, self.geometry, self.layout):
             build()
 
     # glue: build the per-module objects this config describes
@@ -96,9 +102,6 @@ class SimConfig:
 
     def layout(self) -> FrameLayout:
         return FrameLayout(self.sync_len, self.pilot_len, self.data_len)
-
-    def budget(self) -> LossBudget:
-        return LossBudget(self.reflectivity_loss_db, self.modulation_excess_loss_db)
 
 
 def _parse_value(text: str, default):

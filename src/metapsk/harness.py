@@ -37,8 +37,8 @@ class SweepVar(Enum):
 class SweepSpec:
     var: SweepVar
     values: tuple[float, ...]
+    trials: int  # frame budget per point; the CLI takes it from --trials or SimConfig.trials
     modes: tuple[TxMode, ...] = (TxMode.METASURFACE, TxMode.CONVENTIONAL)
-    trials: int = SimConfig.trials
     master_seed: int = 271828
     paired: bool = False
 
@@ -73,9 +73,12 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _channel_for(var: SweepVar, value: float, cfg: SimConfig) -> ChannelConfig:
-    common = dict(link_loss_db=cfg.link_loss_db, noise_floor_dbm=cfg.noise_floor_dbm,
-                  budget=cfg.budget())
+def _channel_for(var: SweepVar, value: float, cfg: SimConfig, mode: TxMode) -> ChannelConfig:
+    """The channel of one sweep point; the surface transmitter's extra loss is charged here."""
+    link_loss_db = cfg.link_loss_db
+    if mode is TxMode.METASURFACE:
+        link_loss_db += cfg.reflectivity_loss_db + cfg.modulation_excess_loss_db
+    common = dict(link_loss_db=link_loss_db, noise_floor_dbm=cfg.noise_floor_dbm)
     if var is SweepVar.TX_POWER:
         return ChannelConfig(tx_power_dbm=value, **common)
     if var is SweepVar.SNR:
@@ -98,8 +101,8 @@ def run_trial(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seed: int):
         phase_offset_deg=cfg.phase_offset_deg, incident_amplitude=cfg.incident_amplitude,
     )
     rx = apply_channel(wave, channel, derive_seed(seed, "noise"))
-    received = receive_frame(rx, layout, cfg.sync_threshold, cfg.phase_offset_deg)
-    return received, measure(received, payload, frame.data_symbols(), cfg.phase_offset_deg)
+    received = receive_frame(rx, layout, cfg.sync_threshold)
+    return received, measure(received, payload, frame.data_symbols())
 
 
 @dataclass
@@ -178,8 +181,8 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
     """
     if var is SweepVar.SYMBOL_RATE:
         cfg = replace(cfg, symbol_rate_hz=value)
-    channel = _channel_for(var, value, cfg)
-    snr = realized_snr_db(channel, mode)
+    channel = _channel_for(var, value, cfg, mode)
+    snr = realized_snr_db(channel)
 
     acc = _PointAccumulator()
     for trial in range(trials):

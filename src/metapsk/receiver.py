@@ -8,6 +8,11 @@ nearest-point decisions on mid-symbol samples.  Mid-symbol sampling is
 deliberate: it neither hides nor exaggerates the settling transients of
 the surface transmitter.
 
+The receiver knows nothing about the transmitter's settings.  It
+compares against the unrotated constellation: a constellation rotation
+at the transmitter is a common phase, which the correlation magnitude
+ignores and the complex gain estimate takes up.
+
 Synchronization has two paths.  When the search window admits exactly
 one lag, as in every sweep (the channel adds no delay, so the frame can
 only start at sample 0), the peak is that lag's normalized dot product.
@@ -59,15 +64,16 @@ def synchronize(
     wave: Waveform,
     sync_syms: np.ndarray,
     threshold: float = SYNC_THRESHOLD_DEFAULT,
-    phase_offset_deg: float = 0.0,
+    *,
     max_start: int | None = None,
 ) -> SyncResult:
     """Locate the frame start by normalized cross-correlation.
 
-    The reference is the oversampled sync subframe.  The peak is
-    normalized by the windowed signal energy, so it lies in [0, 1] and is
-    insensitive to the channel gain.  Only lags up to ``max_start`` (all
-    lags when it is None) are searched.
+    The reference is the oversampled sync subframe on the unrotated
+    constellation.  The peak is the correlation's magnitude normalized by
+    the windowed signal energy, so it lies in [0, 1] and is insensitive to
+    the channel gain and to any common phase rotation.  Only lags up to
+    ``max_start`` (all lags when it is None) are searched.
 
     A window of one lag is scored by one dot product against the signal
     energy.  A longer window is correlated at every lag by FFT, and
@@ -76,7 +82,7 @@ def synchronize(
     sample in the window), raises :class:`SyncError`.
     """
     ovs = wave.oversampling
-    ref = np.repeat(constellation(phase_offset_deg)[np.asarray(sync_syms)], ovs)
+    ref = np.repeat(constellation()[np.asarray(sync_syms)], ovs)
     r = wave.samples
     if r.size < ref.size:
         raise SyncError("waveform shorter than the sync reference")
@@ -153,19 +159,21 @@ def receive_frame(
     wave: Waveform,
     layout: FrameLayout = FrameLayout(),
     threshold: float = SYNC_THRESHOLD_DEFAULT,
-    phase_offset_deg: float = 0.0,
 ) -> ReceivedFrame:
-    """Run the full chain on a waveform containing one frame."""
+    """Run the full chain on a waveform containing one frame.
+
+    A constellation rotation at the transmitter ends up in
+    ``estimate.gain``; ``eq_data`` lies on the unrotated constellation.
+    """
     ovs = wave.oversampling
     max_start = wave.samples.size - layout.total_symbols * ovs
-    sync = synchronize(wave, sync_symbols(layout.sync_len), threshold, phase_offset_deg,
-                       max_start=max_start)
+    sync = synchronize(wave, sync_symbols(layout.sync_len), threshold, max_start=max_start)
     y = wave.samples[sync.frame_start:][symbol_centres(layout, ovs)]
 
     # Estimate over sync + pilot: with only the 32 pilot symbols the
     # estimate's own noise (1/32 of the sample noise) visibly inflates
     # BER on the steep part of the waterfall.
-    train_ref = constellation(phase_offset_deg)[training_symbols(layout)]
+    train_ref = constellation()[training_symbols(layout)]
     pilot_ref = train_ref[layout.pilot_slice]
     estimate = estimate_channel(y[: layout.pilot_slice.stop], train_ref)
     y_eq = y / estimate.gain
@@ -175,7 +183,7 @@ def receive_frame(
     est_snr_db = math.inf if resid_power == 0.0 else 10.0 * math.log10(ref_power / resid_power)
 
     eq_data = y_eq[layout.data_slice]
-    bits, symbols = demodulate(eq_data, phase_offset_deg)
+    bits, symbols = demodulate(eq_data)
     return ReceivedFrame(sync, estimate, eq_data, bits, symbols, est_snr_db)
 
 
@@ -191,8 +199,7 @@ class LinkMetrics:
     symbols_compared: int
 
 
-def measure(received: ReceivedFrame, ref_bits: np.ndarray, ref_symbols: np.ndarray,
-            phase_offset_deg: float = 0.0) -> LinkMetrics:
+def measure(received: ReceivedFrame, ref_bits: np.ndarray, ref_symbols: np.ndarray) -> LinkMetrics:
     """Error rates and EVM of one received frame against the truth."""
     ref_bits = np.asarray(ref_bits).ravel()
     ref_symbols = np.asarray(ref_symbols).ravel()
@@ -204,7 +211,7 @@ def measure(received: ReceivedFrame, ref_bits: np.ndarray, ref_symbols: np.ndarr
     n_bits = ref_bits.size
     n_syms = ref_symbols.size
 
-    nearest = constellation(phase_offset_deg)[received.symbols]
+    nearest = constellation()[received.symbols]
     evm = math.sqrt(float(np.mean(np.abs(received.eq_data - nearest) ** 2)) /
                     float(np.mean(np.abs(nearest) ** 2))) * 100.0
 

@@ -36,7 +36,6 @@ def frame_wave(
     amplitude=1.0,
     oversampling=DEFAULT_OVS,
     symbol_rate_hz=DEFAULT_RATE,
-    phase_offset_deg=0.0,
     layout=FrameLayout(),
 ):
     """Random payload -> (payload, frame, clean waveform)."""
@@ -44,7 +43,7 @@ def frame_wave(
     frame = build_frame(payload, layout)
     curve = VoltagePhaseCurve(amplitude=amplitude)
     rc = rc_for(tau_s, symbol_rate_hz, oversampling)
-    wave = synthesize(frame, mode, curve, rc, oversampling, phase_offset_deg=phase_offset_deg)
+    wave = synthesize(frame, mode, curve, rc, oversampling)
     return payload, frame, wave
 
 

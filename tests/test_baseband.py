@@ -228,4 +228,4 @@ class TestSynthesize:
     def test_waveform_requires_integer_oversampling(self):
         for oversampling in (0, -1):
             with pytest.raises(ValueError, match="oversampling"):
-                Waveform(np.zeros(4, dtype=complex), oversampling, TxMode.CONVENTIONAL)
+                Waveform(np.zeros(4, dtype=complex), oversampling)

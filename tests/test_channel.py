@@ -8,19 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from metapsk.baseband import TxMode, Waveform
-from metapsk.channel import (
-    REFLECTIVITY_LOSS_DB,
-    ChannelConfig,
-    LossBudget,
-    apply_channel,
-    realized_snr_db,
-    snr_from_eb_n0_db,
-)
+from metapsk.channel import ChannelConfig, apply_channel, realized_snr_db, snr_from_eb_n0_db
+from metapsk.config import SimConfig
+from metapsk.harness import SweepVar, _channel_for
 
 
-def unit_wave(n=100_000, mode=TxMode.CONVENTIONAL):
+def unit_wave(n=100_000):
     """Constant unit-power waveform; handy for noise statistics."""
-    return Waveform(np.ones(n, dtype=complex), 1, mode)
+    return Waveform(np.ones(n, dtype=complex), 1)
+
+
+def power_channel(tx_power_dbm, mode, cfg=SimConfig()):
+    """The power-budget channel a sweep builds for ``mode``."""
+    return _channel_for(SweepVar.TX_POWER, tx_power_dbm, cfg, mode)
 
 
 class TestConfig:
@@ -31,21 +31,26 @@ class TestConfig:
             ChannelConfig(snr_db=10.0, tx_power_dbm=-22.0)
 
     def test_budget_terms(self):
-        budget = LossBudget()
-        assert budget.reflectivity_loss_db == pytest.approx(0.70581, abs=5e-5)
-        assert budget.total_db == pytest.approx(6.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            LossBudget(reflectivity_loss_db=-0.1)
+        cfg = SimConfig()
+        assert cfg.reflectivity_loss_db == pytest.approx(0.70581, abs=5e-5)
+        assert cfg.reflectivity_loss_db + cfg.modulation_excess_loss_db == pytest.approx(6.0, abs=1e-12)
+        for key in ("reflectivity_loss_db", "modulation_excess_loss_db"):
+            with pytest.raises(ValueError, match=f"{key} must be non-negative"):
+                SimConfig(**{key: -0.1})
 
     def test_power_budget_snr_arithmetic(self):
         cfg = ChannelConfig(tx_power_dbm=-22.0, link_loss_db=50.0, noise_floor_dbm=-95.0)
-        assert realized_snr_db(cfg, TxMode.CONVENTIONAL) == pytest.approx(-22.0 - 50.0 + 95.0)
+        assert realized_snr_db(cfg) == pytest.approx(-22.0 - 50.0 + 95.0)
 
     def test_budget_charged_to_surface_mode_only(self):
-        cfg = ChannelConfig(tx_power_dbm=-22.0)
-        conv = realized_snr_db(cfg, TxMode.CONVENTIONAL)
-        surf = realized_snr_db(cfg, TxMode.METASURFACE)
+        conv = realized_snr_db(power_channel(-22.0, TxMode.CONVENTIONAL))
+        surf = realized_snr_db(power_channel(-22.0, TxMode.METASURFACE))
+        assert conv == pytest.approx(-22.0 - 50.0 + 95.0, abs=1e-12)
         assert conv - surf == pytest.approx(6.0, abs=1e-12)
+        # a fixed-SNR channel charges no mode anything
+        for var, value in ((SweepVar.SNR, 12.0), (SweepVar.SYMBOL_RATE, 1e6)):
+            snrs = {realized_snr_db(_channel_for(var, value, SimConfig(), mode)) for mode in TxMode}
+            assert len(snrs) == 1
 
     def test_rejects_nan_and_minus_inf_snr_and_non_finite_power(self):
         for kwargs in ({"snr_db": math.nan}, {"snr_db": -math.inf},
@@ -57,10 +62,10 @@ class TestConfig:
 
     @given(delta=st.floats(min_value=0.0, max_value=40.0))
     def test_power_steps_move_snr_exactly(self, delta):
-        lo = ChannelConfig(tx_power_dbm=-40.0)
-        hi = ChannelConfig(tx_power_dbm=-40.0 + delta)
         for mode in TxMode:
-            assert realized_snr_db(hi, mode) - realized_snr_db(lo, mode) == pytest.approx(delta, abs=1e-12)
+            lo = power_channel(-40.0, mode)
+            hi = power_channel(-40.0 + delta, mode)
+            assert realized_snr_db(hi) - realized_snr_db(lo) == pytest.approx(delta, abs=1e-12)
 
 
 class TestApplyChannel:
@@ -70,7 +75,7 @@ class TestApplyChannel:
         np.testing.assert_array_equal(out.samples, wave.samples)
 
     def test_zero_power_rejected(self):
-        wave = Waveform(np.zeros(16, dtype=complex), 1, TxMode.CONVENTIONAL)
+        wave = Waveform(np.zeros(16, dtype=complex), 1)
         with pytest.raises(ValueError):
             apply_channel(wave, ChannelConfig(snr_db=10.0), 1)
 
@@ -88,18 +93,19 @@ class TestApplyChannel:
     def test_non_finite_waveform_rejected(self):
         samples = np.ones(16, dtype=complex)
         samples[3] = np.inf
-        wave = Waveform(samples, 1, TxMode.CONVENTIONAL)
+        wave = Waveform(samples, 1)
         for cfg in (ChannelConfig(snr_db=10.0), ChannelConfig(tx_power_dbm=-30.0)):
             with pytest.raises(ValueError, match="finite"):
                 apply_channel(wave, cfg, 1)
 
     def test_noise_is_two_successive_draws(self):
         """Real parts are the seed's first n normals, imaginary parts the next n."""
-        wave = Waveform(np.exp(0.3j * np.arange(1000)), 8, TxMode.METASURFACE)
-        cfg = ChannelConfig(tx_power_dbm=-40.0)
-        out = apply_channel(wave, cfg, 11)
+        wave = Waveform(np.exp(0.3j * np.arange(1000)), 8)
+        sim = SimConfig()
+        out = apply_channel(wave, power_channel(-40.0, TxMode.METASURFACE, sim), 11)
         rng = np.random.default_rng(11)
-        gain = math.sqrt(10.0 ** ((-40.0 - 50.0 - cfg.budget.total_db) / 10.0))
+        budget_db = sim.reflectivity_loss_db + sim.modulation_excess_loss_db
+        gain = math.sqrt(10.0 ** ((-40.0 - 50.0 - budget_db) / 10.0))
         scale = math.sqrt(10.0 ** (-95.0 / 10.0) / 2.0)
         expected = gain * wave.samples + scale * (rng.standard_normal(1000) + 1j * rng.standard_normal(1000))
         np.testing.assert_array_equal(out.samples, expected)
@@ -133,7 +139,7 @@ class TestApplyChannel:
         wave = unit_wave(1_000_000)
         cfg = ChannelConfig(tx_power_dbm=-30.0, link_loss_db=50.0, noise_floor_dbm=-95.0)
         out = apply_channel(wave, cfg, 5)
-        target = realized_snr_db(cfg, TxMode.CONVENTIONAL)
+        target = realized_snr_db(cfg)
         sig_power = np.abs(np.mean(out.samples)) ** 2  # constant signal survives averaging
         noise_power = np.var(out.samples)
         measured = 10.0 * np.log10(sig_power / noise_power)
@@ -141,17 +147,15 @@ class TestApplyChannel:
 
     def test_budget_costs_surface_waveform_6_db(self):
         n = 1_000_000
-        cfg = ChannelConfig(tx_power_dbm=-30.0)
-        conv = apply_channel(unit_wave(n, TxMode.CONVENTIONAL), cfg, 5)
-        surf = apply_channel(unit_wave(n, TxMode.METASURFACE), cfg, 5)
+        conv = apply_channel(unit_wave(n), power_channel(-30.0, TxMode.CONVENTIONAL), 5)
+        surf = apply_channel(unit_wave(n), power_channel(-30.0, TxMode.METASURFACE), 5)
         p_conv = np.abs(np.mean(conv.samples)) ** 2
         p_surf = np.abs(np.mean(surf.samples)) ** 2
         assert 10.0 * np.log10(p_conv / p_surf) == pytest.approx(6.0, abs=0.05)
 
     def test_metadata_preserved(self):
-        wave = Waveform(np.ones(100, dtype=complex), 8, TxMode.METASURFACE)
+        wave = Waveform(np.ones(100, dtype=complex), 8)
         out = apply_channel(wave, ChannelConfig(snr_db=20.0), 0)
-        assert out.mode is TxMode.METASURFACE
         assert out.oversampling == 8
 
 
@@ -173,4 +177,4 @@ class TestSnrPerBit:
         assert 10.0 ** (snr / 10.0) * ovs / 3 == pytest.approx(10.0 ** (eb_n0 / 10.0), rel=1e-9)
 
     def test_reflectivity_loss_value(self):
-        assert REFLECTIVITY_LOSS_DB == pytest.approx(10.0 * math.log10(1.0 / 0.85), rel=1e-12)
+        assert SimConfig().reflectivity_loss_db == pytest.approx(10.0 * math.log10(1.0 / 0.85), rel=1e-12)

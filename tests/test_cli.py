@@ -93,6 +93,14 @@ class TestSweep:
         assert early.frames < trials
         assert json.loads((tmp_path / "manifest.json").read_text())["sweep"]["paired"] is True
 
+    def test_config_trials_is_the_default_budget(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("trials = 2\noversampling = 1\n")
+        stdout_json(capsys, "sweep", "--var", "snr", "--values", "30", "--modes", "conventional",
+                    "--config", str(cfg), "--out", str(tmp_path))
+        assert [r.frames for r in read_results_csv(tmp_path / "results.csv")] == [2]
+        assert json.loads((tmp_path / "manifest.json").read_text())["sweep"]["trials"] == 2
+
     def test_decreasing_values_rejected(self, capsys, tmp_path):
         for var, values, message in (
             ("snr", ["8", "4"], "increasing"),
@@ -151,6 +159,8 @@ class TestSweep:
             ("phase_offset_deg = nan", "phase_offset_deg"),
             ("incident_amplitude = nan", "incident_amplitude"),
             ("power_grid_dbm = -30, inf", "power_grid_dbm"),
+            ("reflectivity_loss_db = -0.1", "reflectivity_loss_db must be non-negative"),
+            ("modulation_excess_loss_db = -1", "modulation_excess_loss_db must be non-negative"),
             ("oversampling = 8.5", "bad.cfg:1: oversampling"),
         ):
             bad.write_text(line + "\n")

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from metapsk.baseband import TxMode
 from metapsk.config import SimConfig, load_config, save_config
+from metapsk.harness import SweepVar, _channel_for
 
 REPO_DEFAULT_CFG = Path(__file__).parent.parent / "configs" / "default.cfg"
 
@@ -148,4 +150,9 @@ class TestDerivedObjects:
         assert layout.payload_bits == 6912
 
     def test_budget_total_is_six_db(self):
-        assert SimConfig().budget().total_db == pytest.approx(6.0)
+        cfg = SimConfig()
+        assert cfg.reflectivity_loss_db + cfg.modulation_excess_loss_db == pytest.approx(6.0)
+        surf, conv = (_channel_for(SweepVar.TX_POWER, -30.0, cfg, mode)
+                      for mode in (TxMode.METASURFACE, TxMode.CONVENTIONAL))
+        assert conv.link_loss_db == cfg.link_loss_db
+        assert surf.link_loss_db - conv.link_loss_db == pytest.approx(6.0)

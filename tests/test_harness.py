@@ -1,5 +1,6 @@
 """Sweep driver, result serialization, and mode comparison tests."""
 
+import cmath
 import json
 import math
 import tempfile
@@ -58,21 +59,26 @@ class TestDeriveSeed:
 class TestSweepSpec:
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError):
-            SweepSpec(SweepVar.SNR, values=())
+            SweepSpec(SweepVar.SNR, values=(), trials=1)
         for modes in ((), (TxMode.CONVENTIONAL, TxMode.CONVENTIONAL)):
             with pytest.raises(ValueError, match="modes"):
-                SweepSpec(SweepVar.SNR, values=(1.0,), modes=modes)
+                SweepSpec(SweepVar.SNR, values=(1.0,), trials=1, modes=modes)
 
     def test_rejects_non_finite_values_and_non_positive_rates(self):
         for values in ((1.0, math.nan, 2.0), (math.nan,), (1.0, math.inf), (-math.inf, 1.0)):
             with pytest.raises(ValueError, match="finite"):
-                SweepSpec(SweepVar.SNR, values=values)
+                SweepSpec(SweepVar.SNR, values=values, trials=1)
         with pytest.raises(ValueError, match="positive"):
-            SweepSpec(SweepVar.SYMBOL_RATE, values=(0.0, 1e6))
+            SweepSpec(SweepVar.SYMBOL_RATE, values=(0.0, 1e6), trials=1)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             SweepSpec(SweepVar.SNR, values=(10.0,), trials=0)
+
+    def test_trials_is_required(self):
+        """A spec names its frame budget; there is no class default to fall back on."""
+        with pytest.raises(TypeError, match="trials"):
+            SweepSpec(SweepVar.SNR, values=(30.0,), modes=(TxMode.CONVENTIONAL,))
 
     def test_default_values_follow_config(self):
         cfg = SimConfig()
@@ -150,6 +156,19 @@ class TestRateInvariance:
         assert a.bit_errors == b.bit_errors
         assert a.symbol_errors == b.symbol_errors
         assert a.evm_rms_pct == pytest.approx(b.evm_rms_pct, rel=1e-9)
+
+
+class TestConstellationRotation:
+    @pytest.mark.parametrize("mode", list(TxMode))
+    @pytest.mark.parametrize("offset_deg", [30.0, 133.7, -45.0])
+    def test_rotated_transmitter_is_error_free_without_noise(self, mode, offset_deg):
+        """The receiver is told nothing of the rotation; the gain estimate takes it up."""
+        cfg = SimConfig(phase_offset_deg=offset_deg)
+        received, metrics = run_trial(mode, cfg, ChannelConfig(snr_db=math.inf), seed=34)
+        assert metrics.bit_errors == 0
+        assert metrics.symbol_errors == 0
+        if mode is TxMode.CONVENTIONAL:
+            assert received.estimate.gain == pytest.approx(cmath.exp(1j * math.radians(offset_deg)))
 
 
 class TestPairedSeeding:

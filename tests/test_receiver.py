@@ -69,7 +69,7 @@ class TestSynchronize:
     def test_noise_only_raises(self):
         rng = np.random.default_rng(4)
         noise = rng.standard_normal(20000) + 1j * rng.standard_normal(20000)
-        wave = Waveform(noise, 8, TxMode.CONVENTIONAL)
+        wave = Waveform(noise, 8)
         with pytest.raises(SyncError):
             synchronize(wave, sync_symbols(64))
 
@@ -271,6 +271,19 @@ class TestReceiveFrame:
         received = receive_frame(rotated)
         np.testing.assert_allclose(received.estimate.gain, g, rtol=1e-9)
         assert measure(received, payload, frame.data_symbols()).ber == 0.0
+
+    @pytest.mark.parametrize("phi_deg", [30.0, 133.7, -45.0, 180.0])
+    def test_common_rotation_lands_in_the_gain(self, phi_deg):
+        """Rotating a noisy frame leaves the decisions and the equalized data as they were."""
+        _, _, wave = frame_wave(28)
+        noisy = apply_channel(wave, ChannelConfig(snr_db=12.0), 28)
+        rotation = np.exp(1j * np.deg2rad(phi_deg))
+        base = receive_frame(noisy)
+        rotated = receive_frame(replace(noisy, samples=noisy.samples * rotation))
+        np.testing.assert_array_equal(rotated.bits, base.bits)
+        np.testing.assert_array_equal(rotated.symbols, base.symbols)
+        np.testing.assert_allclose(rotated.eq_data, base.eq_data, rtol=0.0, atol=1e-12)
+        assert rotated.estimate.gain == pytest.approx(base.estimate.gain * rotation, rel=1e-12)
 
     def test_section_lengths_recovered(self):
         _, frame, wave = frame_wave(23)
