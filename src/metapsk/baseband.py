@@ -38,33 +38,54 @@ class TxMode(Enum):
 
 
 # Gray labelling: bit triples of adjacent constellation points differ in
-# exactly one position.  _GRAY_FROM_INDEX[k] is the bit word of symbol k.
+# exactly one position.  _GRAY_FROM_INDEX[k] is the bit word of symbol k
+# and GRAY_BITS[k] its three bits, most significant first.
 _GRAY_FROM_INDEX = np.array([k ^ (k >> 1) for k in range(8)])
 _INDEX_FROM_GRAY = np.argsort(_GRAY_FROM_INDEX)
+GRAY_BITS = (_GRAY_FROM_INDEX[:, None] >> np.array([2, 1, 0])) & 1
+# GRAY_DISTANCE[8 * a + b]: how many bits of symbols a and b differ, so
+# bit errors count from symbol decisions without expanding them to bits.
+GRAY_DISTANCE = np.array([bin(int(_GRAY_FROM_INDEX[a] ^ _GRAY_FROM_INDEX[b])).count("1")
+                          for a in range(8) for b in range(8)])
+GRAY_BITS.flags.writeable = GRAY_DISTANCE.flags.writeable = False
+
+
+def as_indices(values, n: int, what: str) -> np.ndarray:
+    """``values`` as a flat int64 array of indices below ``n``, a power of two.
+
+    Raises :class:`ValueError` unless every value is an integer in
+    0..n-1; nothing is rounded, so a float array is refused outright.
+    The OR of all the values lies in 0..n-1 exactly when each value does,
+    which checks them in one pass.
+    """
+    a = np.asarray(values).ravel()
+    if a.size and (a.dtype.kind not in "biu" or not 0 <= np.bitwise_or.reduce(a) < n):
+        raise ValueError(f"{what} must be integers in 0..{n - 1}")
+    return a.astype(np.int64, copy=False)
 
 
 def bits_to_symbols(bits) -> np.ndarray:
     """Vectorized bit-triple to symbol-index mapping."""
-    b = np.asarray(bits, dtype=int).ravel()
+    b = as_indices(bits, 2, "bits")
     if b.size % BITS_PER_SYMBOL != 0:
         raise ValueError("bit count must be a multiple of three")
-    if not np.all((b == 0) | (b == 1)):
-        raise ValueError("bits must be 0 or 1")
-    words = (b[0::3] << 2) | (b[1::3] << 1) | b[2::3]
-    return _INDEX_FROM_GRAY[words]
+    return _INDEX_FROM_GRAY[(b[0::3] << 2) | (b[1::3] << 1) | b[2::3]]
 
 
 def symbols_to_bits(symbols) -> np.ndarray:
     """Inverse of :func:`bits_to_symbols`; returns a flat bit array."""
-    s = np.asarray(symbols, dtype=int).ravel()
-    if not np.all((s >= 0) & (s < 8)):
-        raise ValueError("symbol indices must lie in 0..7")
-    words = _GRAY_FROM_INDEX[s]
-    bits = np.empty(3 * s.size, dtype=np.int64)
-    bits[0::3] = (words >> 2) & 1
-    bits[1::3] = (words >> 1) & 1
-    bits[2::3] = words & 1
-    return bits
+    return GRAY_BITS.take(as_indices(symbols, 8, "symbol indices"), axis=0).ravel()
+
+
+def mean_power(samples: np.ndarray) -> float:
+    """Mean squared magnitude, ``float(np.mean(np.abs(samples) ** 2))``.
+
+    The same sum and division np.mean makes for a float array, without
+    its Python wrapper: this runs several times per frame.
+    """
+    power = np.abs(samples)
+    np.square(power, out=power)
+    return float(np.add.reduce(power, axis=None) / power.size)
 
 
 def _frozen(fn):
@@ -186,10 +207,9 @@ class Frame:
 
 def build_frame(payload_bits, layout: FrameLayout = FrameLayout()) -> Frame:
     """Assemble sync + pilot + payload into one frame of symbol indices."""
-    bits = np.asarray(payload_bits, dtype=int).ravel()
-    if bits.size != layout.payload_bits:
-        raise ValueError(f"payload must be exactly {layout.payload_bits} bits, got {bits.size}")
-    return Frame(layout, np.concatenate([training_symbols(layout), bits_to_symbols(bits)]))
+    if np.size(payload_bits) != layout.payload_bits:
+        raise ValueError(f"payload must be exactly {layout.payload_bits} bits, got {np.size(payload_bits)}")
+    return Frame(layout, np.concatenate([training_symbols(layout), bits_to_symbols(payload_bits)]))
 
 
 @dataclass(frozen=True)
@@ -223,8 +243,9 @@ def synthesize(
     if oversampling < 1:
         raise ValueError("oversampling must be >= 1")
     if mode is TxMode.CONVENTIONAL:
-        points = constellation(phase_offset_deg)
-        samples = np.repeat(points[frame.symbols], oversampling)
+        samples = constellation(phase_offset_deg)[frame.symbols]
+        if oversampling > 1:
+            samples = np.repeat(samples, oversampling)
     elif mode is TxMode.METASURFACE:
         volts = bias_voltage_table(curve, phase_offset_deg)
         targets = np.repeat(volts[frame.symbols], oversampling)

@@ -88,7 +88,11 @@ def voltage_to_reflection(curve: VoltagePhaseCurve, voltage):
     Accepts scalars or arrays; out-of-range voltages are clamped.
     """
     phase = np.deg2rad(curve.phase_deg(voltage))
-    gamma = curve.amplitude * np.exp(1j * phase)
+    # i sin + cos, scaled in place: amplitude * exp(1j * phase) bit for
+    # bit, without evaluating a complex exponential
+    gamma = 1j * np.sin(phase)
+    gamma += np.cos(phase)
+    gamma *= curve.amplitude
     if np.ndim(voltage) == 0:
         return complex(gamma)
     return gamma

@@ -20,11 +20,11 @@ channel: the same config and seed reproduce the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .baseband import BITS_PER_SYMBOL, Waveform
+from .baseband import BITS_PER_SYMBOL, Waveform, mean_power
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,13 @@ def apply_channel(wave: Waveform, cfg: ChannelConfig, seed: int) -> Waveform:
     for this waveform raises :class:`ValueError`.
     """
     x = wave.samples
-    p_in = float(np.mean(np.abs(x) ** 2))
+    p_in = mean_power(x)
     if p_in == 0.0:
         raise ValueError("input waveform has zero power")
 
     if cfg.snr_db is not None:
         if cfg.snr_db == math.inf:
-            return replace(wave, samples=x.copy())
+            return Waveform(x.copy(), wave.oversampling)
         gain = 1.0
         noise_power = p_in / _db_to_linear(cfg.snr_db, "SNR")
     else:
@@ -97,7 +97,7 @@ def apply_channel(wave: Waveform, cfg: ChannelConfig, seed: int) -> Waveform:
     out = gain * x
     out.real += normals[: x.size]
     out.imag += normals[x.size:]
-    return replace(wave, samples=out)
+    return Waveform(out, wave.oversampling)
 
 
 def snr_from_eb_n0_db(eb_n0_db: float, oversampling: int) -> float:

@@ -19,23 +19,29 @@ only start at sample 0), the peak is that lag's normalized dot product.
 A window of several lags is correlated at all lags at once by FFT
 (``scipy.signal.fftconvolve``, imported on the first such window, so the
 one-lag path loads numpy alone).  The frame constants the receiver
-compares against (sync and pilot symbols, mid-symbol offsets) are built
-once per frame format and shared.
+compares against (the sync reference and its norm, the training and
+pilot references and their energies, the mid-symbol offsets) are built
+once per frame format and shared.  Bit errors are counted from the
+symbol decisions, each adding its Gray distance to the sent symbol.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 
 import numpy as np
 
 from .baseband import (
+    GRAY_BITS,
+    GRAY_DISTANCE,
     FrameLayout,
     Waveform,
+    as_indices,
     constellation,
+    mean_power,
     symbol_centres,
-    symbols_to_bits,
     sync_symbols,
     training_symbols,
 )
@@ -52,6 +58,39 @@ def fftconvolve(in1, in2, mode="full"):
 
 class SyncError(RuntimeError):
     """Raised when no credible frame start is found."""
+
+
+def _memo_by_value(fn):
+    """Memoize ``fn(array, *args)`` on the array's contents.
+
+    An array is not hashable, so the key is its dtype, shape and bytes: a
+    frame format's reference, handed over afresh with every frame, is
+    worked up once.  A process sees few frame formats, and the cache
+    holds each key's bytes, so it keeps only the last 16.
+    """
+    @lru_cache(maxsize=16)
+    def cached(dtype, shape, data, *args):
+        return fn(np.frombuffer(data, dtype=dtype).reshape(shape), *args)
+
+    @wraps(fn)
+    def call(array, *args):
+        array = np.asarray(array)
+        return cached(array.dtype.str, array.shape, array.tobytes(), *args)
+    return call
+
+
+@_memo_by_value
+def _sync_reference(sync_syms: np.ndarray, oversampling: int) -> tuple[np.ndarray, float]:
+    """The oversampled sync subframe on the unrotated constellation, and its norm."""
+    ref = np.repeat(constellation()[sync_syms], oversampling)
+    ref.flags.writeable = False
+    return ref, float(np.linalg.norm(ref))
+
+
+@_memo_by_value
+def _energy(ref: np.ndarray) -> float:
+    """Sum of squared magnitudes: the denominator of the LS gain estimate."""
+    return float(np.sum(np.abs(ref) ** 2))
 
 
 @dataclass(frozen=True)
@@ -81,8 +120,7 @@ def synchronize(
     best peak below ``threshold``, or a NaN peak (from a NaN or infinite
     sample in the window), raises :class:`SyncError`.
     """
-    ovs = wave.oversampling
-    ref = np.repeat(constellation()[np.asarray(sync_syms)], ovs)
+    ref, ref_norm = _sync_reference(sync_syms, wave.oversampling)
     r = wave.samples
     if r.size < ref.size:
         raise SyncError("waveform shorter than the sync reference")
@@ -90,7 +128,6 @@ def synchronize(
         if max_start < 0:
             raise SyncError("waveform shorter than a full frame")
         r = r[: max_start + ref.size]
-    ref_norm = float(np.linalg.norm(ref))
 
     if r.size == ref.size:
         start = 0
@@ -128,7 +165,7 @@ def estimate_channel(rx_pilot: np.ndarray, pilot_ref: np.ndarray) -> ChannelEsti
     pilot_ref = np.asarray(pilot_ref)
     if rx_pilot.shape != pilot_ref.shape or rx_pilot.size == 0:
         raise ValueError("pilot and reference must be equal-length, non-empty")
-    denom = float(np.sum(np.abs(pilot_ref) ** 2))
+    denom = _energy(pilot_ref)
     if denom == 0.0:
         raise ValueError("pilot reference has zero energy")
     return ChannelEstimate(gain=complex(np.vdot(pilot_ref, rx_pilot) / denom))
@@ -140,9 +177,40 @@ def demodulate(samples: np.ndarray, phase_offset_deg: float = 0.0) -> tuple[np.n
     Decision regions are 45 deg wedges centred on the constellation
     points; a sample on a boundary belongs to the higher index.
     """
-    theta = (np.degrees(np.angle(samples)) - phase_offset_deg) % 360.0
-    indices = np.floor((theta + 22.5) / 45.0).astype(np.int64) % 8
-    return symbols_to_bits(indices), indices
+    theta = np.angle(samples, deg=True)
+    if phase_offset_deg:
+        theta = (theta - phase_offset_deg) % 360.0
+    else:
+        # angle() lies in [-180, 180], where adding 360 to the negative
+        # half gives the same float as % 360 (-0.0 stays -0.0, which
+        # + 22.5 below turns into 22.5 all the same).
+        np.add(theta, 360.0, out=theta, where=theta < 0.0)
+    theta += 22.5
+    theta /= 45.0
+    # theta >= 0, so the cast truncates as floor would; & 7 is % 8.
+    indices = theta.astype(np.int64)
+    indices &= 7
+    return GRAY_BITS.take(indices, axis=0).ravel(), indices
+
+
+@dataclass(frozen=True)
+class _FrameReference:
+    """What the receiver compares one frame format against."""
+
+    centres: np.ndarray | slice  # mid-symbol samples from the frame start
+    train_ref: np.ndarray  # sync + pilot symbols on the unrotated constellation
+    pilot_ref: np.ndarray
+    pilot_power: float
+
+
+@lru_cache(maxsize=64)
+def _frame_reference(layout: FrameLayout, oversampling: int) -> _FrameReference:
+    """The reference of a frame format, built once per format."""
+    train_ref = constellation()[training_symbols(layout)]
+    train_ref.flags.writeable = False
+    pilot_ref = train_ref[layout.pilot_slice]
+    centres = slice(0, layout.total_symbols) if oversampling == 1 else symbol_centres(layout, oversampling)
+    return _FrameReference(centres, train_ref, pilot_ref, mean_power(pilot_ref))
 
 
 @dataclass(frozen=True)
@@ -166,21 +234,19 @@ def receive_frame(
     ``estimate.gain``; ``eq_data`` lies on the unrotated constellation.
     """
     ovs = wave.oversampling
+    ref = _frame_reference(layout, ovs)
     max_start = wave.samples.size - layout.total_symbols * ovs
     sync = synchronize(wave, sync_symbols(layout.sync_len), threshold, max_start=max_start)
-    y = wave.samples[sync.frame_start:][symbol_centres(layout, ovs)]
+    y = wave.samples[sync.frame_start:][ref.centres]
 
     # Estimate over sync + pilot: with only the 32 pilot symbols the
     # estimate's own noise (1/32 of the sample noise) visibly inflates
     # BER on the steep part of the waterfall.
-    train_ref = constellation()[training_symbols(layout)]
-    pilot_ref = train_ref[layout.pilot_slice]
-    estimate = estimate_channel(y[: layout.pilot_slice.stop], train_ref)
+    estimate = estimate_channel(y[: layout.pilot_slice.stop], ref.train_ref)
     y_eq = y / estimate.gain
 
-    resid_power = float(np.mean(np.abs(y_eq[layout.pilot_slice] - pilot_ref) ** 2))
-    ref_power = float(np.mean(np.abs(pilot_ref) ** 2))
-    est_snr_db = math.inf if resid_power == 0.0 else 10.0 * math.log10(ref_power / resid_power)
+    resid_power = mean_power(y_eq[layout.pilot_slice] - ref.pilot_ref)
+    est_snr_db = math.inf if resid_power == 0.0 else 10.0 * math.log10(ref.pilot_power / resid_power)
 
     eq_data = y_eq[layout.data_slice]
     bits, symbols = demodulate(eq_data)
@@ -200,20 +266,25 @@ class LinkMetrics:
 
 
 def measure(received: ReceivedFrame, ref_bits: np.ndarray, ref_symbols: np.ndarray) -> LinkMetrics:
-    """Error rates and EVM of one received frame against the truth."""
-    ref_bits = np.asarray(ref_bits).ravel()
-    ref_symbols = np.asarray(ref_symbols).ravel()
-    if received.bits.size != ref_bits.size or received.symbols.size != ref_symbols.size:
+    """Error rates and EVM of one received frame against the truth.
+
+    ``ref_bits`` are the Gray bits of ``ref_symbols`` (indices 0..7), as
+    :func:`~metapsk.baseband.build_frame` pairs them.  Errors are counted
+    from symbols: each decision adds its Gray distance to the sent
+    symbol, which is the number of its bits that differ.
+    """
+    ref_symbols = as_indices(ref_symbols, 8, "reference symbols")
+    if received.bits.size != np.size(ref_bits) or received.symbols.size != ref_symbols.size:
         raise ValueError("reference length does not match the received frame")
 
-    bit_errors = int(np.sum(received.bits != ref_bits))
-    symbol_errors = int(np.sum(received.symbols != ref_symbols))
-    n_bits = ref_bits.size
+    distance = GRAY_DISTANCE[(received.symbols << 3) | ref_symbols]
+    bit_errors = int(distance.sum())
+    symbol_errors = int(np.count_nonzero(distance))
+    n_bits = received.bits.size
     n_syms = ref_symbols.size
 
     nearest = constellation()[received.symbols]
-    evm = math.sqrt(float(np.mean(np.abs(received.eq_data - nearest) ** 2)) /
-                    float(np.mean(np.abs(nearest) ** 2))) * 100.0
+    evm = math.sqrt(mean_power(received.eq_data - nearest) / mean_power(nearest)) * 100.0
 
     return LinkMetrics(
         ber=bit_errors / n_bits,
@@ -225,4 +296,3 @@ def measure(received: ReceivedFrame, ref_bits: np.ndarray, ref_symbols: np.ndarr
         symbol_errors=symbol_errors,
         symbols_compared=n_syms,
     )
-

@@ -4,18 +4,21 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metapsk.baseband import (
     DATA_SUBFRAMES,
+    GRAY_DISTANCE,
     Frame,
     FrameLayout,
     TxMode,
     Waveform,
+    as_indices,
     bits_to_symbols,
     build_frame,
     constellation,
+    mean_power,
     pilot_symbols,
     pn_chips,
     symbol_centres,
@@ -72,6 +75,68 @@ class TestGrayMapping:
     def test_bit_stream_roundtrip(self, bits):
         symbols = bits_to_symbols(bits)
         np.testing.assert_array_equal(symbols_to_bits(symbols), bits)
+
+    @pytest.mark.parametrize("bits", [
+        [0.5, 1.9, 1.0], [0.0, 1.0, 0.3], [0, 1, -1], [0, 1, np.nan], [np.inf, 0, 1],
+    ])
+    def test_non_binary_bits_rejected_not_truncated(self, bits):
+        with pytest.raises(ValueError, match="bits must be integers in 0..1"):
+            bits_to_symbols(bits)
+
+    @pytest.mark.parametrize("symbols", [[2.5, 7.9], [0.1], [-1], [np.nan], [2**62]])
+    def test_non_index_symbols_rejected_not_truncated(self, symbols):
+        with pytest.raises(ValueError, match="symbol indices must be integers in 0..7"):
+            symbols_to_bits(symbols)
+
+    def test_integer_types_accepted_floats_refused(self):
+        """Any integer or bool type is read as is; a float, even 2.0, is refused, not cast."""
+        for kind in (np.int8, np.uint8, np.int32, np.uint64, bool):
+            np.testing.assert_array_equal(bits_to_symbols(np.array([0, 1, 1], dtype=kind)), [2])
+            np.testing.assert_array_equal(symbols_to_bits(np.array([1], dtype=kind)), [0, 0, 1])
+        with pytest.raises(ValueError):
+            bits_to_symbols([0.0, 1.0, 1.0])
+        with pytest.raises(ValueError):
+            symbols_to_bits([2.0])
+        assert bits_to_symbols([]).size == symbols_to_bits([]).size == 0
+
+    @given(values=st.lists(st.integers(-2**63, 2**63 - 1), max_size=20), k=st.integers(1, 6))
+    def test_index_check_is_the_range_check(self, values, k):
+        """One OR over the values decides exactly what 0 <= v < 2**k for all v decides."""
+        n = 2**k
+        if all(0 <= v < n for v in values):
+            np.testing.assert_array_equal(as_indices(np.array(values, dtype=np.int64), n, "x"), values)
+        else:
+            with pytest.raises(ValueError):
+                as_indices(np.array(values, dtype=np.int64), n, "x")
+
+
+class TestGrayDistance:
+    @given(pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=300))
+    def test_counts_the_bits_that_differ(self, pairs):
+        """Summing the table over (decided, sent) pairs is the bitwise compare."""
+        decided, sent = np.array(pairs).T
+        expected = np.count_nonzero(symbols_to_bits(decided) != symbols_to_bits(sent))
+        assert int(GRAY_DISTANCE[(decided << 3) | sent].sum()) == expected
+
+    def test_zero_exactly_on_the_diagonal(self):
+        table = GRAY_DISTANCE.reshape(8, 8)
+        assert np.array_equal(table == 0, np.eye(8, dtype=bool))
+        assert not GRAY_DISTANCE.flags.writeable
+
+
+class TestMeanPower:
+    @settings(max_examples=60)
+    @given(parts=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=3000))
+    def test_is_np_mean_bit_for_bit(self, parts):
+        samples = np.array([complex(re, im) for re, im in parts])
+        assert mean_power(samples).hex() == float(np.mean(np.abs(samples) ** 2)).hex()
+
+    def test_frame_sized_input_and_views(self):
+        """Lengths past numpy's pairwise blocks, and the strided views the receiver passes."""
+        rng = np.random.default_rng(3)
+        samples = rng.standard_normal(2400) + 1j * rng.standard_normal(2400)
+        for x in (samples, samples[96:], samples[:32], samples[::8]):
+            assert mean_power(x) == float(np.mean(np.abs(x) ** 2))
 
 
 class TestTrainingSequences:
@@ -144,6 +209,11 @@ class TestFrame:
     def test_wrong_payload_length_rejected(self):
         with pytest.raises(ValueError):
             build_frame(np.zeros(100, dtype=int))
+
+    def test_non_binary_payload_rejected(self):
+        """A payload of 0.3s used to be cast to an all-zero frame."""
+        with pytest.raises(ValueError, match="bits must be integers in 0..1"):
+            build_frame(np.full(FrameLayout().payload_bits, 0.3))
 
     def test_payload_survives_frame_roundtrip(self):
         rng = np.random.default_rng(7)

@@ -164,6 +164,32 @@ class TestBiasTable:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def test_reflection_is_the_complex_exponential_on_the_pinned_sweep(monkeypatch):
+    """cos + i sin scaled by the amplitude equals amplitude * exp(1j * phase)
+    bit for bit on every phase array of the pinned oversampling-32 sweep
+    (test_cli's `sweep --var snr --trials 2 --seed 11`).  The identity rests
+    on the math library, so this pins it where the artifacts depend on it."""
+    from metapsk import surface
+    from metapsk.config import SimConfig
+    from metapsk.harness import SweepSpec, SweepVar, run_sweep
+
+    seen = []
+
+    def recording(curve, voltage):
+        seen.append((curve, np.array(voltage)))
+        return voltage_to_reflection(curve, voltage)
+
+    monkeypatch.setattr(surface, "voltage_to_reflection", recording)
+    cfg = SimConfig(oversampling=32)
+    run_sweep(SweepSpec(SweepVar.SNR, cfg.snr_grid_db, trials=2, master_seed=11), cfg)
+    assert len(seen) >= len(cfg.snr_grid_db)  # at least one surface frame per point
+    for curve, voltage in seen:
+        phase = np.deg2rad(curve.phase_deg(voltage))
+        assert phase.size == 32 * cfg.layout().total_symbols
+        old = curve.amplitude * np.exp(1j * phase)
+        assert voltage_to_reflection(curve, voltage).tobytes() == old.tobytes()
+
+
 class TestRcDynamics:
     def test_zero_tau_settles_immediately(self):
         rc = RcDynamics(tau_s=0.0, sample_period_s=1e-8)

@@ -12,6 +12,7 @@ from scipy.special import erfc
 from helpers import frame_wave
 from metapsk import receiver
 from metapsk.baseband import (
+    FrameLayout,
     TxMode,
     Waveform,
     constellation,
@@ -214,6 +215,24 @@ class TestEstimateChannel:
         np.testing.assert_allclose(est.gain, g, rtol=1e-9)
 
 
+class TestFrameConstants:
+    def test_built_once_and_read_only(self):
+        layout = FrameLayout()
+        ref = receiver._frame_reference(layout, 1)
+        assert receiver._frame_reference(FrameLayout(), 1) is ref
+        sync_ref, _ = receiver._sync_reference(sync_symbols(64), 8)
+        assert receiver._sync_reference(sync_symbols(64).copy(), 8)[0] is sync_ref  # keyed by value
+        for array in (ref.train_ref, ref.pilot_ref, sync_ref):
+            assert not array.flags.writeable
+
+    def test_reference_changed_in_place_is_not_served_stale(self):
+        ref = constellation()[pilot_symbols(32)].copy()
+        rx = 2.0 * ref
+        assert estimate_channel(rx, ref).gain == pytest.approx(2.0, rel=1e-12)
+        ref *= 2.0  # the same array object, new contents
+        assert estimate_channel(rx, ref).gain == pytest.approx(1.0, rel=1e-12)
+
+
 class TestDemodulate:
     def test_constellation_centres(self):
         bits, idx = demodulate(constellation())
@@ -252,6 +271,63 @@ class TestDemodulate:
     def test_offset_shifts_regions(self):
         z = np.exp(1j * np.deg2rad(30.0))
         assert demodulate(np.array([z]), phase_offset_deg=30.0)[1][0] == 0
+
+
+def reference_decisions(samples, phase_offset_deg):
+    """The decision formula demodulate once used, kept as its oracle."""
+    theta = np.degrees(np.angle(samples))
+    return np.floor(((theta - phase_offset_deg) % 360.0 + 22.5) / 45.0).astype(np.int64) % 8
+
+
+def ulp_grid(z, n=8):
+    """Every sample whose real and imaginary parts lie within n ulps of z's."""
+    def steps(x):
+        down, up = [x], [x]
+        for _ in range(n):
+            down.append(np.nextafter(down[-1], -np.inf))
+            up.append(np.nextafter(up[-1], np.inf))
+        return np.array(down[:0:-1] + up)
+    return (steps(z.real)[:, None] + 1j * steps(z.imag)[None, :]).ravel()
+
+
+OFFSETS_DEG = (0.0, 30.0, 133.7, -45.0)
+
+
+class TestDecisionArithmetic:
+    """demodulate's decisions equal the % 360 / floor / % 8 formula, bit for bit."""
+
+    def assert_same_decisions(self, samples, offset):
+        samples = np.asarray(samples, dtype=complex)
+        with np.errstate(invalid="ignore"):  # NaN samples: both sides cast NaN to int
+            bits, indices = demodulate(samples, offset)
+            expected = reference_decisions(samples, offset)
+        np.testing.assert_array_equal(indices, expected)
+        np.testing.assert_array_equal(bits, symbols_to_bits(expected))
+
+    @pytest.mark.parametrize("offset", OFFSETS_DEG)
+    def test_every_boundary_and_its_neighbours(self, offset):
+        edges = offset + 22.5 + 45.0 * np.arange(-5, 5)
+        samples = np.concatenate([ulp_grid(np.exp(1j * np.deg2rad(e))) for e in edges])
+        if offset == 0.0:  # the grid reaches each boundary and both its float neighbours
+            theta = set(np.degrees(np.angle(samples)))
+            for edge in 22.5 + 45.0 * np.arange(-4, 4):
+                assert {edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)} <= theta
+        self.assert_same_decisions(samples, offset)
+
+    @pytest.mark.parametrize("offset", OFFSETS_DEG)
+    def test_signed_zeros_half_turns_and_nan(self, offset):
+        nan, inf = math.nan, math.inf
+        samples = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+        samples += [complex(-1.0, 0.0), complex(-1.0, -0.0), complex(1.0, -0.0),
+                    complex(-0.0, 1.0), complex(-0.0, -1.0), complex(-inf, 0.0), complex(-inf, -0.0),
+                    complex(1.0, -5e-324), complex(1.0, -1e-300),  # just below 0 deg: wraps to 360
+                    complex(nan, 0.0), complex(0.0, nan), complex(nan, nan)]
+        self.assert_same_decisions(samples, offset)
+
+    @given(parts=st.lists(st.tuples(st.floats(width=64), st.floats(width=64)), min_size=1, max_size=64),
+           offset=st.sampled_from(OFFSETS_DEG))
+    def test_any_samples(self, parts, offset):
+        self.assert_same_decisions([complex(re, im) for re, im in parts], offset)
 
 
 class TestReceiveFrame:
@@ -365,6 +441,30 @@ class TestMeasure:
         decided = rng.integers(0, 8, size=128)
         metrics = measure(synthetic_received(decided), symbols_to_bits(ref), ref)
         assert metrics.ber <= metrics.ser <= 1.0
+
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_bit_errors_are_the_bitwise_compare(self, seed):
+        rng = np.random.default_rng(seed)
+        ref = rng.integers(0, 8, size=96)
+        decided = np.where(rng.random(96) < 0.3, rng.integers(0, 8, size=96), ref)
+        metrics = measure(synthetic_received(decided), symbols_to_bits(ref), ref)
+        assert metrics.bit_errors == np.count_nonzero(symbols_to_bits(decided) != symbols_to_bits(ref))
+        assert metrics.symbol_errors == np.count_nonzero(decided != ref)
+
+    @pytest.mark.parametrize("oversampling", [1, 8])
+    def test_noisy_frame_counts_its_bit_errors(self, oversampling):
+        payload, frame, wave = frame_wave(31, oversampling=oversampling)
+        received = receive_frame(apply_channel(wave, ChannelConfig(snr_db=6.0), 31))
+        metrics = measure(received, payload, frame.data_symbols())
+        assert metrics.bit_errors > 0
+        assert metrics.bit_errors == np.count_nonzero(received.bits != payload)
+        assert metrics.symbol_errors == np.count_nonzero(received.symbols != frame.data_symbols())
+
+    @pytest.mark.parametrize("ref", [[0, 8], [0, -1], [0.0, 1.0]])
+    def test_reference_outside_the_alphabet_rejected(self, ref):
+        with pytest.raises(ValueError, match="reference symbols must be integers in 0..7"):
+            measure(synthetic_received([0, 1]), np.zeros(6, dtype=int), ref)
 
     def test_evm_scales_with_displacement(self):
         ref = np.zeros(64, dtype=int)
