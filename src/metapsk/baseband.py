@@ -248,8 +248,7 @@ def synthesize(
             samples = np.repeat(samples, oversampling)
     elif mode is TxMode.METASURFACE:
         volts = bias_voltage_table(curve, phase_offset_deg)
-        targets = np.repeat(volts[frame.symbols], oversampling)
-        trajectory = voltage_trajectory(rc, targets, v_init=targets[0])
+        trajectory = voltage_trajectory(rc, volts, frame.symbols, oversampling)
         samples = uniform_reflection(curve, trajectory, incident_amplitude)
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -7,9 +7,11 @@ roughly flat.  Over the usable bias range the phase response is close
 enough to linear that a two-point calibration (phase at v_min, total span)
 captures it, and that linear curve is what the rest of the simulator uses.
 
-The bias-line lag runs as an IIR filter pass (``scipy.signal.lfilter``),
-imported on the first call with a nonzero lag: an ideal driver, and a
-process that never synthesizes a surface frame, load numpy alone.
+The bias-line lag is a first-order recurrence over the samples, run in
+numpy alone.  Its state is looked up per symbol history in a table built
+once per frame format, checked symbol by symbol and repaired where the
+table is off, so the result is the plain sample-by-sample recurrence bit
+for bit.
 
 Conventions: voltages in volts, phases in degrees, times in seconds.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +28,14 @@ Z0_FREE_SPACE = 377.0  # ohm, wave impedance the cells are matched against
 
 PSK_ORDER = 8
 PSK_STEP_DEG = 360.0 / PSK_ORDER
+
+# The lag table holds a symbol's entry and exit state for every history of
+# this many earlier symbols: 8**5 = 32,768 keys, 512 KB.
+_LAG_HISTORY = 4
+# Vectorized repair rounds before the lag walks the rest of the frame one
+# sample at a time; a slow line needs about one round per symbol it
+# remembers to within a rounding, and a walk is cheaper than ~30 rounds.
+_LAG_REPAIR_ROUNDS = 32
 
 
 def reflection_coefficient(z_load: complex, z_ref: complex = Z0_FREE_SPACE) -> complex:
@@ -65,10 +76,17 @@ class VoltagePhaseCurve:
             raise ValueError("amplitude must lie in (0, 1]")
 
     def phase_deg(self, voltage):
-        """Reflection phase for a bias voltage, clamped to the bias range."""
-        v = np.clip(voltage, self.v_min, self.v_max)
-        frac = (v - self.v_min) / (self.v_max - self.v_min)
-        return self.phase_at_vmin_deg + self.phase_span_deg * frac
+        """Reflection phase for a bias voltage, clamped to the bias range.
+
+        ``phase_at_vmin + span * (v - v_min) / (v_max - v_min)``, worked in
+        place on the array ``np.clip`` returns.
+        """
+        phase = np.clip(np.asarray(voltage, dtype=float), self.v_min, self.v_max)
+        phase -= self.v_min
+        phase /= self.v_max - self.v_min
+        phase *= self.phase_span_deg
+        phase += self.phase_at_vmin_deg
+        return phase
 
     def voltage_for_phase(self, phase_deg: float) -> float:
         """Bias voltage whose reflection phase equals ``phase_deg``.
@@ -87,14 +105,16 @@ def voltage_to_reflection(curve: VoltagePhaseCurve, voltage):
 
     Accepts scalars or arrays; out-of-range voltages are clamped.
     """
-    phase = np.deg2rad(curve.phase_deg(voltage))
-    # i sin + cos, scaled in place: amplitude * exp(1j * phase) bit for
-    # bit, without evaluating a complex exponential
-    gamma = 1j * np.sin(phase)
-    gamma += np.cos(phase)
+    phase = curve.phase_deg(np.atleast_1d(voltage))
+    np.deg2rad(phase, out=phase)
+    # cos + i sin written into one array and scaled in place: amplitude *
+    # exp(1j * phase) bit for bit, without a complex exponential
+    gamma = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=gamma.real)
+    np.sin(phase, out=gamma.imag)
     gamma *= curve.amplitude
     if np.ndim(voltage) == 0:
-        return complex(gamma)
+        return complex(gamma[0])
     return gamma
 
 
@@ -128,18 +148,91 @@ class RcDynamics:
         return math.exp(-self.sample_period_s / self.tau_s)
 
 
-def voltage_trajectory(rc: RcDynamics, targets, v_init: float) -> np.ndarray:
-    """Run the lag over a per-sample target sequence.
+def _settle(state: np.ndarray, charge: np.ndarray, oversampling: int, a: float) -> np.ndarray:
+    """Lag states after one symbol: ``oversampling`` samples of ``y = z + charge``, ``z = a * y``."""
+    state = state.copy()
+    for _ in range(oversampling):
+        state += charge
+        state *= a
+    return state
 
-    Each sample moves the voltage toward its target,
-    ``v = target + (v - target) * rc.alpha``, computed as a single IIR
-    filter pass.
+
+def _walk(state: float, charge: np.ndarray, oversampling: int, a: float) -> list[float]:
+    """Entry states of consecutive symbols from a known first entry, one sample at a time."""
+    entries, state = [], float(state)
+    for c in charge.tolist():
+        entries.append(state)
+        for _ in range(oversampling):
+            state = a * (state + c)
+    return entries
+
+
+@lru_cache(maxsize=8)
+def _lag_table(levels: bytes, oversampling: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Entry and exit state of a symbol for every history of ``_LAG_HISTORY + 1`` symbols.
+
+    The key is the history in base 8, oldest symbol first; the line
+    starts settled at the oldest symbol's level.  Built once per (levels,
+    oversampling, a), prefix by prefix.
     """
-    targets = np.asarray(targets, dtype=float)
-    a = rc.alpha
-    if a == 0.0:
-        return targets.copy()
-    from scipy.signal import lfilter  # loaded only by a lagging cell
+    levels = np.frombuffer(levels)
+    charge = (1.0 - a) * levels
+    exit_state = _settle(a * levels, charge, oversampling, a)
+    for _ in range(_LAG_HISTORY):
+        entry = np.repeat(exit_state, PSK_ORDER)
+        exit_state = _settle(entry, np.tile(charge, exit_state.size), oversampling, a)
+    entry.flags.writeable = exit_state.flags.writeable = False
+    return entry, exit_state
 
-    out, _ = lfilter([1.0 - a], [1.0, -a], targets, zi=np.array([a * v_init]))
-    return out
+
+def voltage_trajectory(rc: RcDynamics, levels, symbols, oversampling: int) -> np.ndarray:
+    """Per-sample bias voltages driving ``symbols`` through the lag.
+
+    ``levels`` is the 8-entry bias table; each symbol holds its level for
+    ``oversampling`` samples, and the line starts settled at the first
+    symbol's level.  Each sample is ``y = z + (1 - a) * target``, then
+    ``z = a * y``, with ``a = rc.alpha``: the two roundings of
+    ``lfilter([1 - a], [1, -a], targets, zi=[a * targets[0]])``, whose
+    result this equals bit for bit.
+
+    The state entering each symbol is looked up in the lag table by the
+    symbol's history.  Where the first sample it gives differs from the
+    one the previous symbol's exit state gives, the entry is replaced and
+    the exit recomputed, in vectorized rounds; after
+    ``_LAG_REPAIR_ROUNDS`` rounds the rest of the frame is walked one
+    sample at a time.  A symbol's first sample fixes all its samples and
+    its exit, so by induction from the first symbol every sample is
+    exact, and one pass of ``oversampling`` steps over all symbols gives
+    them.
+    """
+    a = rc.alpha
+    levels = np.asarray(levels, dtype=float)
+    if levels.shape != (PSK_ORDER,):
+        raise ValueError(f"levels must hold {PSK_ORDER} voltages")
+    symbols = np.asarray(symbols)
+    n = symbols.size
+    charge = ((1.0 - a) * levels)[symbols]
+    history = np.concatenate((np.full(_LAG_HISTORY, symbols[0]), symbols))
+    keys = history[:n].astype(np.intp)
+    for shift in range(1, _LAG_HISTORY + 1):
+        keys <<= 3
+        keys |= history[shift:shift + n]
+    table_entry, table_exit = _lag_table(levels.tobytes(), oversampling, a)
+    entry, exit_state = table_entry[keys], table_exit[keys]
+    start = a * levels[symbols[0]]
+    for repair_round in range(_LAG_REPAIR_ROUNDS + 1):
+        before = np.concatenate(([start], exit_state[:-1]))
+        # A symbol whose first sample is right is right throughout.
+        bad = np.flatnonzero((entry + charge).view(np.int64) != (before + charge).view(np.int64))
+        if not bad.size:
+            break
+        if repair_round == _LAG_REPAIR_ROUNDS:
+            entry[bad[0]:] = _walk(before[bad[0]], charge[bad[0]:], oversampling, a)
+            break
+        entry[bad] = before[bad]
+        exit_state[bad] = _settle(entry[bad], charge[bad], oversampling, a)
+    out = np.empty((n, oversampling))
+    for k in range(oversampling):
+        np.add(entry, charge, out=out[:, k])
+        np.multiply(out[:, k], a, out=entry)
+    return out.ravel()

@@ -77,8 +77,9 @@ class SimConfig:
         for name in ("oversampling", "min_errors", "max_bits", "trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.symbol_rate_hz <= 0:
-            raise ValueError("symbol_rate_hz must be positive")
+        for name in ("symbol_rate_hz", "incident_amplitude"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.sync_threshold <= 1.0:
             raise ValueError("sync_threshold must lie in [0, 1]")
         for name in ("reflectivity_loss_db", "modulation_excess_loss_db"):

@@ -69,7 +69,8 @@ def uniform_reflection(curve: VoltagePhaseCurve, voltages, incident_amplitude: f
     series.
     """
     gamma = voltage_to_reflection(curve, np.asarray(voltages, dtype=float))
-    return incident_amplitude * gamma
+    gamma *= incident_amplitude
+    return gamma
 
 
 def array_factor(geometry: SurfaceGeometry, amplitude: float, theta_deg, phi_deg: float) -> np.ndarray:

@@ -14,6 +14,24 @@ def rc_step(rc: RcDynamics, v_now: float, v_target: float) -> float:
     return v_target + (v_now - v_target) * rc.alpha
 
 
+def lag_samples(rc: RcDynamics, levels, symbols, oversampling: int) -> np.ndarray:
+    """The bias lag one sample at a time, from a line settled at the first symbol's level.
+
+    Each sample rounds twice, as ``lfilter([1 - a], [1, -a], ...)`` does:
+    ``y = z + (1 - a) * target``, then ``z = a * y``.
+    """
+    a = rc.alpha
+    levels = [float(v) for v in levels]
+    state = a * levels[symbols[0]]
+    samples = []
+    for s in symbols:
+        charge = (1.0 - a) * levels[s]
+        for _ in range(oversampling):
+            samples.append(state + charge)
+            state = a * samples[-1]
+    return np.array(samples)
+
+
 def reflect_sample(curve: VoltagePhaseCurve, voltages, incident_amplitude: float = 1.0) -> complex:
     """Complex baseband sample reflected under plane-wave feed by cells biased at ``voltages``."""
     gamma = voltage_to_reflection(curve, np.asarray(voltages, dtype=float))

@@ -1,11 +1,13 @@
 """Unit tests for the single-cell reflection model."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from metapsk.cell import (
     PSK_STEP_DEG,
@@ -18,7 +20,7 @@ from metapsk.cell import (
     voltage_trajectory,
 )
 
-from helpers import rc_step
+from helpers import lag_samples, rc_step
 
 finite_ohms = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 passive_ohms = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -229,16 +231,88 @@ class TestRcDynamics:
     @given(seed=st.integers(0, 2**31 - 1))
     def test_trajectory_matches_iterated_steps(self, seed):
         rng = np.random.default_rng(seed)
-        targets = rng.uniform(0.0, 20.0, size=64)
+        levels = rng.uniform(0.0, 20.0, size=8)
+        symbols = rng.integers(0, 8, size=64)
         rc = RcDynamics(tau_s=4e-8, sample_period_s=1e-8)
-        v = targets[0]
-        expect = []
-        for u in targets:
-            v = rc_step(rc, v, u)
-            expect.append(v)
-        np.testing.assert_allclose(voltage_trajectory(rc, targets, targets[0]), expect, rtol=1e-12)
+        got = voltage_trajectory(rc, levels, symbols, 4)
+        assert got.tobytes() == lag_samples(rc, levels, symbols, 4).tobytes()
 
     def test_trajectory_zero_tau_is_passthrough(self):
         rc = RcDynamics(tau_s=0.0, sample_period_s=1e-8)
-        targets = np.array([1.0, 3.0, 2.0])
-        np.testing.assert_array_equal(voltage_trajectory(rc, targets, 5.0), targets)
+        levels = np.array([1.0, 3.0, 2.0, 5.0, 4.0, 7.0, 6.0, 9.0])
+        symbols = np.array([0, 2, 1, 1, 7])
+        got = voltage_trajectory(rc, levels, symbols, 3)
+        assert got.tobytes() == np.repeat(levels[symbols], 3).tobytes()
+
+    def test_trajectory_needs_an_eight_level_table(self):
+        rc = RcDynamics(tau_s=4e-8, sample_period_s=1e-8)
+        with pytest.raises(ValueError, match="8 voltages"):
+            voltage_trajectory(rc, np.arange(7.0), np.array([0, 1]), 4)
+
+
+def lfilter_lag(rc, levels, symbols, oversampling):
+    """The lag as scipy's IIR filter pass, from a line settled at the first target."""
+    a = rc.alpha
+    targets = np.repeat(np.asarray(levels)[symbols], oversampling)
+    out, _ = lfilter([1.0 - a], [1.0, -a], targets, zi=np.array([a * targets[0]]))
+    return out
+
+
+class TestBiasLagIsExact:
+    """voltage_trajectory equals lfilter and the sample-by-sample recurrence byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # few distinct values, so tables repeat levels; 0 and -0 included
+        levels=st.lists(st.sampled_from([0.0, -0.0, 2.5, 10.0, -5.0]) | st.floats(-20.0, 40.0),
+                        min_size=8, max_size=8),
+        symbols=st.lists(st.integers(0, 7), min_size=1, max_size=300),
+        oversampling=st.integers(1, 32),
+        tau=st.sampled_from([0.0, 40e-9, 1e-6, 1e-3]),
+        rate=st.sampled_from([0.256e6, 2.048e6, 4.096e6]),
+    )
+    def test_random_tables_and_symbols(self, levels, symbols, oversampling, tau, rate):
+        rc = RcDynamics(tau_s=tau, sample_period_s=1.0 / (rate * oversampling))
+        levels, symbols = np.array(levels), np.array(symbols)
+        got = voltage_trajectory(rc, levels, symbols, oversampling).tobytes()
+        assert got == lfilter_lag(rc, levels, symbols, oversampling).tobytes()
+        assert got == lag_samples(rc, levels, symbols, oversampling).tobytes()
+
+    def test_pinned_sweep_frames_at_every_rate(self, monkeypatch):
+        """The surface frames of the pinned `--seed 11` sweeps, at every grid
+        rate and oversampling 1, 8 and 32."""
+        from metapsk import baseband
+        from metapsk.config import SimConfig
+        from metapsk.harness import SweepSpec, SweepVar, default_values, run_sweep
+
+        frames = {}
+
+        def recording(rc, levels, symbols, oversampling):
+            frames[np.asarray(symbols).tobytes()] = np.array(symbols)
+            return voltage_trajectory(rc, levels, symbols, oversampling)
+
+        monkeypatch.setattr(baseband, "voltage_trajectory", recording)
+        cfg = SimConfig()
+        for var in SweepVar:
+            run_sweep(SweepSpec(var, default_values(var, cfg), trials=2, master_seed=11), cfg)
+        assert len(frames) >= 20
+        levels = bias_voltage_table(cfg.curve())
+        for rate in cfg.rate_grid_hz:
+            for oversampling in (1, 8, 32):
+                rc = RcDynamics(cfg.tau_s, 1.0 / (rate * oversampling))
+                for symbols in frames.values():
+                    got = voltage_trajectory(rc, levels, symbols, oversampling)
+                    assert got.tobytes() == lfilter_lag(rc, levels, symbols, oversampling).tobytes()
+
+    def test_slow_line_stays_fast(self):
+        """A line that remembers the whole frame: the repair rounds are
+        capped and a sample-by-sample walk finishes; unbounded rounds
+        take well over 100 ms on a frame like this."""
+        from metapsk.baseband import FrameLayout, TxMode, build_frame, synthesize
+
+        layout = FrameLayout()
+        frame = build_frame(np.random.default_rng(1).integers(0, 2, layout.payload_bits), layout)
+        rc = RcDynamics(tau_s=1e-3, sample_period_s=1.0 / (2.048e6 * 32))
+        start = time.perf_counter()
+        synthesize(frame, TxMode.METASURFACE, VoltagePhaseCurve(), rc, 32)
+        assert time.perf_counter() - start < 0.1

@@ -158,6 +158,8 @@ class TestSweep:
             ("phase_span_deg = nan", "phase_span_deg"),
             ("phase_offset_deg = nan", "phase_offset_deg"),
             ("incident_amplitude = nan", "incident_amplitude"),
+            ("incident_amplitude = 0", "incident_amplitude must be positive"),
+            ("incident_amplitude = -1", "incident_amplitude must be positive"),
             ("power_grid_dbm = -30, inf", "power_grid_dbm"),
             ("reflectivity_loss_db = -0.1", "reflectivity_loss_db must be non-negative"),
             ("modulation_excess_loss_db = -1", "modulation_excess_loss_db must be non-negative"),

@@ -26,6 +26,7 @@ _CONSTRAINED = {
     "tau_s": st.floats(0.0, 1.0),
     "cell_pitch_m": _POSITIVE,
     "carrier_freq_hz": _POSITIVE,
+    "incident_amplitude": _POSITIVE,
     "symbol_rate_hz": _POSITIVE,
     "reflectivity_loss_db": st.floats(0.0, 100.0),
     "modulation_excess_loss_db": st.floats(0.0, 100.0),

@@ -1,19 +1,23 @@
-"""Start-up cost: importing metapsk and running numpy-only paths loads no scipy.
+"""Process-level costs: sweeps run with scipy unimportable, and trials
+do not fault their arrays in anew.
 
 Importing ``scipy.signal`` takes over a second, most of a short run's
-start-up.  Only a lagging metasurface cell (``lfilter``) and a multi-lag
-sync window (``fftconvolve``) need it, and they import it on first use.
-Each check runs in a fresh interpreter, since the test process itself
-has scipy loaded.
+start-up.  The bias lag is numpy-only, so a sweep never needs it; the one
+remaining user is a sync window of several lags (``fftconvolve``), which
+imports it on first use.  The probes run in fresh interpreters, since
+the test process itself has scipy loaded; the first blocks scipy
+outright: ``sys.modules["scipy"] = None`` makes every scipy import raise.
 """
 
 import json
 import os
+import platform
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import pytest
 import scipy.constants
 
 from metapsk.surface import SurfaceGeometry, speed_of_light
@@ -24,23 +28,34 @@ PROBE = textwrap.dedent("""
     import json
     import sys
 
+    sys.modules["scipy"] = None  # every scipy import now raises ImportError
+
+    import numpy as np
+
     import metapsk.cli
-    from metapsk import harness, surface
-    from metapsk.baseband import TxMode
+    from metapsk import harness, receiver, surface
+    from metapsk.baseband import TxMode, Waveform, constellation, sync_symbols
     from metapsk.channel import ChannelConfig
     from metapsk.config import SimConfig
-
-    def scipy_modules():
-        return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+    from metapsk.harness import SweepSpec, SweepVar
 
     cfg = SimConfig()
     channel = ChannelConfig(snr_db=20.0)
     harness.run_trial(TxMode.CONVENTIONAL, cfg, channel, 1)
+    harness.run_trial(TxMode.METASURFACE, cfg, channel, 1)
+    harness.run_sweep(SweepSpec(SweepVar.SYMBOL_RATE, (4.096e6,), trials=1, paired=True), cfg)
+    # a slow line; a frame that fails sync is counted, not raised
+    harness.run_sweep(SweepSpec(SweepVar.SNR, (20.0,), trials=1, modes=(TxMode.METASURFACE,)),
+                      SimConfig(tau_s=1e-6))
     harness.hardware_counts(256, TxMode.CONVENTIONAL)
     surface.array_factor(cfg.geometry(), cfg.cell_amplitude, [0.0, 10.0, 20.0], 0.0)
-    numpy_only = scipy_modules()
-    harness.run_trial(TxMode.METASURFACE, cfg, channel, 1)
-    print(json.dumps({"numpy_only": numpy_only, "after_metasurface": scipy_modules()}))
+
+    del sys.modules["scipy"]  # lift the block
+    sync = sync_symbols(cfg.sync_len)
+    padded = Waveform(np.concatenate([np.zeros(5), constellation()[sync]]), 1)
+    start = receiver.synchronize(padded, sync).frame_start
+    scipy_modules = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+    print(json.dumps({"start": start, "scipy_modules": scipy_modules}))
 """)
 
 
@@ -49,9 +64,40 @@ def test_numpy_only_paths_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded["numpy_only"] == []
-    # A lagging cell is the one remaining user on the sweep path.
-    assert "scipy.signal" in loaded["after_metasurface"]
+    # A multi-lag sync window is the one remaining user.
+    assert loaded["start"] == 5
+    assert "scipy.signal" in loaded["scipy_modules"]
+
+
+HEAP_PROBE = textwrap.dedent("""
+    import resource
+
+    from metapsk import harness
+    from metapsk.baseband import TxMode
+    from metapsk.channel import ChannelConfig
+    from metapsk.config import SimConfig
+
+    def faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    cfg = SimConfig(oversampling=32)
+    channel = ChannelConfig(snr_db=20.0)
+    harness.run_trial(TxMode.METASURFACE, cfg, channel, 1)
+    before = faults()
+    for seed in range(2, 12):
+        harness.run_trial(TxMode.METASURFACE, cfg, channel, seed)
+    print((faults() - before) / 10)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
+def test_trial_arrays_stay_on_the_heap():
+    """An oversampling-32 trial's ~1.2 MB arrays are reused from the heap,
+    not mapped and faulted in afresh (~1,000 page faults per trial)."""
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert float(proc.stdout.splitlines()[-1]) < 100
 
 
 def test_speed_of_light_is_the_si_value():
