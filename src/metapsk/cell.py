@@ -33,8 +33,9 @@ PSK_STEP_DEG = 360.0 / PSK_ORDER
 # this many earlier symbols: 8**5 = 32,768 keys, 512 KB.
 _LAG_HISTORY = 4
 # Vectorized repair rounds before the lag walks the rest of the frame one
-# sample at a time; a slow line needs about one round per symbol it
-# remembers to within a rounding, and a walk is cheaper than ~30 rounds.
+# sample at a time; a line needs about one round per symbol it remembers
+# to within a rounding, and a walk is cheaper than ~30 rounds, so a line
+# that remembers more symbols than this is walked from the start.
 _LAG_REPAIR_ROUNDS = 32
 
 
@@ -200,7 +201,9 @@ def voltage_trajectory(rc: RcDynamics, levels, symbols, oversampling: int) -> np
     one the previous symbol's exit state gives, the entry is replaced and
     the exit recomputed, in vectorized rounds; after
     ``_LAG_REPAIR_ROUNDS`` rounds the rest of the frame is walked one
-    sample at a time.  A symbol's first sample fixes all its samples and
+    sample at a time.  A line that remembers more symbols than that (the
+    smallest m with ``(a**oversampling)**m < 2**-53``) is walked from
+    the first symbol.  A symbol's first sample fixes all its samples and
     its exit, so by induction from the first symbol every sample is
     exact, and one pass of ``oversampling`` steps over all symbols gives
     them.
@@ -212,6 +215,22 @@ def voltage_trajectory(rc: RcDynamics, levels, symbols, oversampling: int) -> np
     symbols = np.asarray(symbols)
     n = symbols.size
     charge = ((1.0 - a) * levels)[symbols]
+    start = a * levels[symbols[0]]
+    if (a**oversampling) ** _LAG_REPAIR_ROUNDS >= 2.0**-53:
+        entry = np.array(_walk(start, charge, oversampling, a))
+    else:
+        entry = _table_entries(a, levels, symbols, charge, start, oversampling)
+    out = np.empty((n, oversampling))
+    for k in range(oversampling):
+        np.add(entry, charge, out=out[:, k])
+        np.multiply(out[:, k], a, out=entry)
+    return out.ravel()
+
+
+def _table_entries(a: float, levels: np.ndarray, symbols: np.ndarray, charge: np.ndarray,
+                   start: float, oversampling: int) -> np.ndarray:
+    """Each symbol's entry state, looked up by history in the lag table and repaired."""
+    n = symbols.size
     history = np.concatenate((np.full(_LAG_HISTORY, symbols[0]), symbols))
     keys = history[:n].astype(np.intp)
     for shift in range(1, _LAG_HISTORY + 1):
@@ -219,7 +238,6 @@ def voltage_trajectory(rc: RcDynamics, levels, symbols, oversampling: int) -> np
         keys |= history[shift:shift + n]
     table_entry, table_exit = _lag_table(levels.tobytes(), oversampling, a)
     entry, exit_state = table_entry[keys], table_exit[keys]
-    start = a * levels[symbols[0]]
     for repair_round in range(_LAG_REPAIR_ROUNDS + 1):
         before = np.concatenate(([start], exit_state[:-1]))
         # A symbol whose first sample is right is right throughout.
@@ -231,8 +249,4 @@ def voltage_trajectory(rc: RcDynamics, levels, symbols, oversampling: int) -> np
             break
         entry[bad] = before[bad]
         exit_state[bad] = _settle(entry[bad], charge[bad], oversampling, a)
-    out = np.empty((n, oversampling))
-    for k in range(oversampling):
-        np.add(entry, charge, out=out[:, k])
-        np.multiply(out[:, k], a, out=entry)
-    return out.ravel()
+    return entry

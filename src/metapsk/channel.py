@@ -14,7 +14,9 @@ is charged (the surface's reflectivity and modulation loss) is already
 part of ``link_loss_db`` when the link is built.
 
 The noise seed is an argument of :func:`apply_channel`, not part of the
-channel: the same config and seed reproduce the output.
+channel: the same config and seed reproduce the output.  The noise
+itself is :func:`draw_noise` of that seed, which a caller may draw ahead
+of time and hand over.
 """
 
 from __future__ import annotations
@@ -63,13 +65,24 @@ def realized_snr_db(cfg: ChannelConfig) -> float:
     return cfg.tx_power_dbm - cfg.link_loss_db - cfg.noise_floor_dbm
 
 
-def apply_channel(wave: Waveform, cfg: ChannelConfig, seed: int) -> Waveform:
+def draw_noise(seed: int, samples: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The 2n standard normals of an n-sample frame's noise, written to ``out`` if given.
+
+    The first n are the noise's real parts and the rest its imaginary
+    parts, as two successive draws of n would give.
+    """
+    return np.random.default_rng(seed).standard_normal(2 * samples, out=out)
+
+
+def apply_channel(wave: Waveform, cfg: ChannelConfig, seed: int, draw=draw_noise) -> Waveform:
     """Scale the waveform per the channel config and add complex AWGN.
 
     Noise is circularly symmetric and drawn from ``seed``: the same
     config and seed on the same waveform reproduce the output exactly.
-    A config whose gain or noise power is not a finite positive number
-    for this waveform raises :class:`ValueError`.
+    The normals are ``draw(seed, n)``, which is :func:`draw_noise` or
+    hands over the same normals drawn ahead of time; they are scaled in
+    place.  A config whose gain or noise power is not a finite positive
+    number for this waveform raises :class:`ValueError`.
     """
     x = wave.samples
     p_in = mean_power(x)
@@ -89,10 +102,7 @@ def apply_channel(wave: Waveform, cfg: ChannelConfig, seed: int) -> Waveform:
         raise ValueError(f"channel gain {gain} and noise power {noise_power} "
                          "must be finite and positive")
 
-    # One draw of 2n normals, added in place to the scaled signal: the
-    # first n are the noise's real parts and the rest its imaginary parts,
-    # as two successive draws of n would give.
-    normals = np.random.default_rng(seed).standard_normal(2 * x.size)
+    normals = draw(seed, x.size)
     normals *= math.sqrt(noise_power / 2.0)
     out = gain * x
     out.real += normals[: x.size]

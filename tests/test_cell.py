@@ -304,6 +304,26 @@ class TestBiasLagIsExact:
                     got = voltage_trajectory(rc, levels, symbols, oversampling)
                     assert got.tobytes() == lfilter_lag(rc, levels, symbols, oversampling).tobytes()
 
+    @pytest.mark.parametrize("tau_s,rate,repairs", [
+        (1e-6, 2.048e6, False),  # a**8 = 0.61: remembers ~75 symbols
+        (1e-3, 2.048e6, False),
+        (40e-9, 4.096e6, True),  # a**8 = 0.002: remembers ~6 symbols
+    ])
+    def test_slow_line_is_walked_without_repair_rounds(self, monkeypatch, tau_s, rate, repairs):
+        """A line that remembers more symbols than the repair rounds settle
+        goes straight to the walk; a faster one keeps its rounds."""
+        from metapsk import cell
+
+        rc = RcDynamics(tau_s=tau_s, sample_period_s=1.0 / (rate * 8))
+        levels = bias_voltage_table(VoltagePhaseCurve())
+        symbols = np.random.default_rng(3).integers(0, 8, 2400)
+        voltage_trajectory(rc, levels, symbols, 8)  # caches the lag table
+        settle, rounds = cell._settle, []
+        monkeypatch.setattr(cell, "_settle", lambda *args: rounds.append(1) or settle(*args))
+        got = voltage_trajectory(rc, levels, symbols, 8)
+        assert bool(rounds) == repairs
+        assert got.tobytes() == lag_samples(rc, levels, symbols, 8).tobytes()
+
     def test_slow_line_stays_fast(self):
         """A line that remembers the whole frame: the repair rounds are
         capped and a sample-by-sample walk finishes; unbounded rounds

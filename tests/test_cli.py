@@ -225,6 +225,23 @@ class TestCompare:
         assert "(0, 1)" in json.loads(err)["error"]
 
 
+    def test_malformed_results_csv_is_a_json_error(self, capsys, tmp_path):
+        """A missing column or a short row names the file, line and column."""
+        good = tmp_path / "good.csv"
+        write_results_csv(good, loglinear_curve(TxMode.METASURFACE, 0.0))
+        lines = good.read_text().splitlines()
+        no_mode = tmp_path / "no_mode.csv"
+        no_mode.write_text("\n".join(line.split(",", 1)[1] for line in lines) + "\n")
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join([*lines[:2], ",".join(lines[2].split(",")[:6])]) + "\n")
+        for path, where in ((no_mode, ":1: no column 'mode'"), (short, ":3: column 'ber'")):
+            code, out, err = run_cli(capsys, "compare", str(path))
+            assert code == 1
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert f"{path}{where}" in json.loads(err)["error"]
+
+
 class TestConstellation:
     def test_emits_iq_table_and_metrics(self, capsys, tmp_path):
         out = tmp_path / "iq.csv"

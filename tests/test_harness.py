@@ -3,7 +3,10 @@
 import cmath
 import json
 import math
+import os
+import signal
 import tempfile
+import time
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -11,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metapsk import harness
 from metapsk.baseband import TxMode
-from metapsk.channel import ChannelConfig
+from metapsk.channel import ChannelConfig, draw_noise
+from metapsk.cli import main
 from metapsk.config import SimConfig
 from helpers import loglinear_curve, synthetic_point
 from metapsk.harness import (
@@ -189,6 +194,113 @@ class TestPairedSeeding:
         conv = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 0.0, cfg,
                          master_seed=18, trials=1)
         assert ms.bit_errors != conv.bit_errors
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _exit_code(pid, timeout_s=10.0):
+    """The exit code of child ``pid``, waited for at most ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail(f"process {pid} still ran after {timeout_s} s")
+
+
+class TestNoiseHelper:
+    """Noise drawn one trial ahead in a helper process gives the serial bytes."""
+
+    @pytest.mark.parametrize("ovs,argv", [
+        # low powers stop after a frame or two, high ones run the budget
+        (8, ["--var", "power", "--values", "-40", "-36", "-24", "--trials", "4"]),
+        (8, ["--var", "rate", "--values", "512000", "4096000", "--trials", "3", "--paired"]),
+        (32, ["--var", "snr", "--values", "16", "--trials", "3"]),
+    ])
+    def test_both_paths_write_the_same_bytes(self, capsys, monkeypatch, tmp_path, ovs, argv):
+        cfg = tmp_path / "ovs.cfg"
+        cfg.write_text(f"oversampling = {ovs}\n")
+        artifacts = {}
+        for helper in (False, True):
+            monkeypatch.setattr(harness, "_use_noise_helper", lambda samples: helper)
+            out = tmp_path / str(helper)
+            assert main(["sweep", *argv, "--config", str(cfg), "--out", str(out)]) == 0
+            artifacts[helper] = [(out / name).read_bytes() for name in ("results.csv", "manifest.json")]
+        capsys.readouterr()
+        assert artifacts[True] == artifacts[False]
+        if argv[1] == "power":
+            frames = [p.frames + p.sync_failures for p in read_results_csv(tmp_path / "True" / "results.csv")]
+            assert min(frames) < 4 and max(frames) == 4  # early stops and full points both ran
+
+    def test_long_frames_use_the_helper_on_two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert harness._use_noise_helper(8 * 2400)
+        assert not harness._use_noise_helper(2400)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not harness._use_noise_helper(8 * 2400)
+
+    def test_helper_draws_each_seed_in_order(self):
+        def drawn(pairs):
+            return [draw(harness._noise_seed(seed), 100).tobytes() for seed, draw in pairs]
+
+        helper = harness._NoiseHelper(100)
+        try:
+            seeds = [5, 6, 7, 5]
+            expected = [draw_noise(harness._noise_seed(seed), 100).tobytes() for seed in seeds]
+            assert drawn(helper.ahead(seeds)) == expected
+            # an abandoned stream leaves a request behind; the next one skips it
+            next(helper.ahead([1, 2]))
+            assert drawn(helper.ahead(seeds[:1])) == expected[:1]
+            seed, draw = next(helper.ahead([8]))
+            with pytest.raises(ValueError, match="another seed or frame size"):
+                draw(harness._noise_seed(seed), 99)
+        finally:
+            helper.close()
+        _no_child_left()
+
+    def test_no_process_outlives_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(harness, "_use_noise_helper", lambda samples: True)
+        spec = SweepSpec(SweepVar.SNR, (30.0,), trials=3, modes=(TxMode.CONVENTIONAL,))
+        run_sweep(spec, fast_cfg())
+        _no_child_left()
+
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("trial failed")
+            return receive_frame(*args)
+
+        receive_frame = harness.receive_frame
+        monkeypatch.setattr(harness, "receive_frame", failing)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_sweep(spec, fast_cfg())
+        _no_child_left()
+
+    def test_helper_exits_when_its_pipe_to_the_parent_closes(self):
+        helper = harness._NoiseHelper(100)
+        os.close(helper._to_helper)
+        assert _exit_code(helper._pid) == 0
+        for fd in (helper._requests, helper._answers, helper._from_helper):
+            os.close(fd)
+
+    def test_parent_raises_when_the_helper_is_gone(self):
+        helper = harness._NoiseHelper(100)
+        os.kill(helper._pid, signal.SIGKILL)
+        try:
+            seed, draw = next(helper.ahead([1]))
+            with pytest.raises(RuntimeError, match="helper process exited"):
+                draw(harness._noise_seed(seed), 100)
+        finally:
+            helper.close()
+        _no_child_left()
 
 
 class TestResultsTable:
