@@ -142,45 +142,6 @@ class PointResult:
     low_confidence: bool
 
 
-class _PointAccumulator:
-    def __init__(self):
-        self.bits = 0
-        self.bit_errors = 0
-        self.symbols = 0
-        self.symbol_errors = 0
-        self.evm_sq_sum = 0.0
-        self.snr_lin_sum = 0.0
-        self.frames = 0
-        self.sync_failures = 0
-
-    def add(self, metrics) -> None:
-        self.frames += 1
-        self.bits += metrics.bits_compared
-        self.bit_errors += metrics.bit_errors
-        self.symbols += metrics.symbols_compared
-        self.symbol_errors += metrics.symbol_errors
-        self.evm_sq_sum += metrics.evm_rms_pct**2 * metrics.symbols_compared
-        self.snr_lin_sum += 10.0 ** (metrics.est_snr_db / 10.0)
-
-    def result(self, mode, sweep_var, value, cfg, snr_db, tx_power_dbm) -> PointResult:
-        """The point's row; a point where no frame passed sync has NaN rates."""
-        if self.frames:
-            ber = self.bit_errors / self.bits
-            ser = self.symbol_errors / self.symbols
-            evm = float(np.sqrt(self.evm_sq_sum / self.symbols))
-            est_snr = float(10.0 * np.log10(self.snr_lin_sum / self.frames))
-        else:
-            ber = ser = evm = est_snr = math.nan
-        return PointResult(
-            mode=mode, sweep_var=sweep_var, value=value, symbol_rate_hz=cfg.symbol_rate_hz,
-            snr_db=snr_db, tx_power_dbm=tx_power_dbm,
-            ber=ber, ser=ser, evm_rms_pct=evm, est_snr_db=est_snr,
-            bits=self.bits, bit_errors=self.bit_errors,
-            frames=self.frames, sync_failures=self.sync_failures,
-            low_confidence=self.bit_errors < cfg.min_errors,
-        )
-
-
 # Frames of at least this many samples draw their noise in a helper
 # process.  Measured on a 2-vCPU VM: at 2,400 samples (oversampling 1 at
 # the default frame) the helper gained 5-17 % trials/s for 6-22 % more
@@ -314,15 +275,30 @@ def _serve_noise(requests: int, answers: int, parent: int,
         os._exit(code)
 
 
+def _until_stop(outcomes, cfg: SimConfig) -> list:
+    """``outcomes`` up to the first trial at which the point has ``cfg.min_errors``
+    bit errors or ``cfg.max_bits`` bits, or all of them; none past it is taken."""
+    taken, bits, bit_errors = [], 0, 0
+    for metrics in outcomes:
+        taken.append(metrics)
+        if metrics is not None:
+            bits += metrics.bits_compared
+            bit_errors += metrics.bit_errors
+        if bit_errors >= cfg.min_errors or bits >= cfg.max_bits:
+            break
+    return taken
+
+
 def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
               master_seed: int, trials: int, paired: bool = False,
               noise: _NoiseHelper | None = None) -> PointResult:
     """Measure one sweep point, stopping at the confidence floor.
 
-    The point stops once it has ``cfg.min_errors`` bit errors or
-    ``cfg.max_bits`` bits, and is ``low_confidence`` below
-    ``cfg.min_errors`` errors.  A symbol-rate point runs every trial at
-    ``value``; any other point at ``cfg.symbol_rate_hz``.
+    Four steps: a seed per trial; each trial's outcome, run only when
+    taken; :func:`_until_stop`; the row, from those outcomes alone, which
+    is ``low_confidence`` below ``cfg.min_errors`` errors and has NaN
+    rates if no frame passed sync.  A symbol-rate point runs every trial
+    at ``value``, any other point at ``cfg.symbol_rate_hz``.
 
     With ``paired=True`` the trial seeds do not include the mode, so runs
     of different modes at the same value see identical payloads and noise
@@ -335,22 +311,39 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
     if var is SweepVar.SYMBOL_RATE:
         cfg = replace(cfg, symbol_rate_hz=value)
     channel = _channel_for(var, value, cfg, mode)
-    snr = realized_snr_db(channel)
-
     labels = (var.value, repr(float(value))) if paired else (mode.value, var.value, repr(float(value)))
     seeds = (derive_seed(master_seed, *labels, trial) for trial in range(trials))
-    acc = _PointAccumulator()
-    for seed, draw in noise.ahead(seeds) if noise else zip(seeds, itertools.repeat(draw_noise)):
-        try:
-            _, metrics = run_trial(mode, cfg, channel, seed, draw)
-        except SyncError:
-            acc.sync_failures += 1
-        else:
-            acc.add(metrics)
-        if not paired and (acc.bit_errors >= cfg.min_errors or acc.bits >= cfg.max_bits):
-            break
-    tx_power = value if var is SweepVar.TX_POWER else None
-    return acc.result(mode, var, value, cfg, snr, tx_power)
+
+    def outcomes():  # each trial's LinkMetrics, or None where sync failed
+        for seed, draw in noise.ahead(seeds) if noise else zip(seeds, itertools.repeat(draw_noise)):
+            try:
+                yield run_trial(mode, cfg, channel, seed, draw)[1]
+            except SyncError:
+                yield None
+
+    taken = list(outcomes()) if paired else _until_stop(outcomes(), cfg)
+
+    frames = [m for m in taken if m is not None]
+    bits = sum(m.bits_compared for m in frames)
+    bit_errors = sum(m.bit_errors for m in frames)
+    evm_sq_sum = snr_lin_sum = 0.0
+    for m in frames:  # left to right: np.sum adds pairwise, and sum() compensates from 3.12
+        evm_sq_sum += m.evm_rms_pct**2 * m.symbols_compared
+        snr_lin_sum += 10.0 ** (m.est_snr_db / 10.0)
+    ber = ser = evm = est_snr = math.nan
+    if frames:
+        symbols = sum(m.symbols_compared for m in frames)
+        ber = bit_errors / bits
+        ser = sum(m.symbol_errors for m in frames) / symbols
+        evm = float(np.sqrt(evm_sq_sum / symbols))
+        est_snr = float(10.0 * np.log10(snr_lin_sum / len(frames)))
+    return PointResult(
+        mode=mode, sweep_var=var, value=value, symbol_rate_hz=cfg.symbol_rate_hz,
+        snr_db=realized_snr_db(channel), tx_power_dbm=value if var is SweepVar.TX_POWER else None,
+        ber=ber, ser=ser, evm_rms_pct=evm, est_snr_db=est_snr,
+        bits=bits, bit_errors=bit_errors, frames=len(frames), sync_failures=len(taken) - len(frames),
+        low_confidence=bit_errors < cfg.min_errors,
+    )
 
 
 def run_sweep(spec: SweepSpec, cfg: SimConfig) -> list[PointResult]:
@@ -376,6 +369,12 @@ def run_sweep(spec: SweepSpec, cfg: SimConfig) -> list[PointResult]:
             noise.close()
 
 
+def _parse_flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"{text!r} is not 0 or 1")
+    return text == "1"
+
+
 # (format, parse) for each field type of PointResult.
 _CSV_CODECS = {
     TxMode: (lambda x: x.value, TxMode),
@@ -383,7 +382,7 @@ _CSV_CODECS = {
     float: (lambda x: repr(float(x)), float),
     float | None: (lambda x: "" if x is None else repr(float(x)), lambda s: float(s) if s else None),
     int: (str, int),
-    bool: (lambda x: "1" if x else "0", lambda s: s == "1"),
+    bool: (lambda x: "1" if x else "0", _parse_flag),
 }
 # column name -> (format, parse), in PointResult's field order
 _CSV_COLUMNS = {name: _CSV_CODECS[kind] for name, kind in get_type_hints(PointResult).items()}

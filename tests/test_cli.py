@@ -226,7 +226,7 @@ class TestCompare:
 
 
     def test_malformed_results_csv_is_a_json_error(self, capsys, tmp_path):
-        """A missing column or a short row names the file, line and column."""
+        """A missing column, a short row or a flag other than 0/1 names the file, line and column."""
         good = tmp_path / "good.csv"
         write_results_csv(good, loglinear_curve(TxMode.METASURFACE, 0.0))
         lines = good.read_text().splitlines()
@@ -234,7 +234,12 @@ class TestCompare:
         no_mode.write_text("\n".join(line.split(",", 1)[1] for line in lines) + "\n")
         short = tmp_path / "short.csv"
         short.write_text("\n".join([*lines[:2], ",".join(lines[2].split(",")[:6])]) + "\n")
-        for path, where in ((no_mode, ":1: no column 'mode'"), (short, ":3: column 'ber'")):
+        cases = [(no_mode, ":1: no column 'mode'"), (short, ":3: column 'ber'")]
+        for flag in ("true", ""):  # low_confidence is the last column
+            bad_flag = tmp_path / f"flag_{flag}.csv"
+            bad_flag.write_text("\n".join([*lines[:2], lines[2].rsplit(",", 1)[0] + "," + flag]) + "\n")
+            cases.append((bad_flag, ":3: column 'low_confidence'"))
+        for path, where in cases:
             code, out, err = run_cli(capsys, "compare", str(path))
             assert code == 1
             assert out == ""

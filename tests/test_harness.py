@@ -8,8 +8,10 @@ import signal
 import tempfile
 import time
 from dataclasses import astuple, replace
+from itertools import accumulate
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from metapsk.baseband import TxMode
 from metapsk.channel import ChannelConfig, draw_noise
 from metapsk.cli import main
 from metapsk.config import SimConfig
+from metapsk.receiver import LinkMetrics, SyncError
 from helpers import loglinear_curve, synthetic_point
 from metapsk.harness import (
     HardwareCounts,
@@ -142,6 +145,73 @@ class TestRunPoint:
         pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 0.0, fast_cfg(min_errors=1),
                        master_seed=17, trials=4, paired=True)
         assert pt.frames == 4
+
+
+def _metrics(bits=0, bit_errors=0, evm_rms_pct=0.0, est_snr_db=0.0):
+    return LinkMetrics(ber=0.0, ser=0.0, evm_rms_pct=evm_rms_pct, est_snr_db=est_snr_db,
+                       bits_compared=bits, bit_errors=bit_errors, symbol_errors=0, symbols_compared=1)
+
+
+# a trial's outcome: its metrics, or None where sync failed
+_outcome = st.none() | st.integers(0, 100).flatmap(
+    lambda bits: st.integers(0, bits).map(lambda errors: _metrics(bits, errors)))
+
+
+class TestStopRule:
+    @settings(max_examples=300)
+    @given(outcomes=st.lists(_outcome, max_size=30),
+           min_errors=st.integers(1, 80), max_bits=st.integers(1, 600))
+    def test_stops_at_the_first_trial_over_a_floor_and_runs_no_more(self, outcomes, min_errors,
+                                                                     max_bits):
+        totals = accumulate(((m.bits_compared, m.bit_errors) if m else (0, 0) for m in outcomes),
+                            lambda a, b: (a[0] + b[0], a[1] + b[1]))
+        stop = next((trial + 1 for trial, (bits, errors) in enumerate(totals)
+                     if errors >= min_errors or bits >= max_bits), len(outcomes))
+
+        def run_until_the_stop():
+            for trial, outcome in enumerate(outcomes):
+                if trial == stop:
+                    raise AssertionError(f"trial {trial} ran after the point stopped")
+                yield outcome
+
+        cfg = SimConfig(min_errors=min_errors, max_bits=max_bits)
+        assert harness._until_stop(run_until_the_stop(), cfg) == outcomes[:stop]
+
+
+class TestPointRow:
+    def test_float_sums_run_trial_by_trial_left_to_right(self, monkeypatch):
+        """One large term, then 16 small ones that each round away: a compensated
+        or pairwise sum of either column prints another float."""
+        frames = [_metrics(10, 1, 1e8, 0.0), *(_metrics(10, 1, 1.0, -160.0) for _ in range(16))]
+        outcomes = iter([*frames[:5], None, *frames[5:]])
+
+        def trial(*args):
+            metrics = next(outcomes)
+            if metrics is None:
+                raise SyncError("no frame")
+            return None, metrics
+
+        monkeypatch.setattr(harness, "run_trial", trial)
+        pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 10.0, fast_cfg(), master_seed=1, trials=18)
+        assert (pt.frames, pt.sync_failures, pt.bits, pt.bit_errors, pt.ber) == (17, 1, 170, 17, 0.1)
+
+        evm_sq = [m.evm_rms_pct**2 * m.symbols_compared for m in frames]
+        snr_lin = [10.0 ** (m.est_snr_db / 10.0) for m in frames]
+
+        def row_floats(total):
+            return (float(np.sqrt(total(evm_sq) / len(frames))),
+                    float(10.0 * np.log10(total(snr_lin) / len(frames))))
+
+        def left_to_right(terms):
+            acc = 0.0
+            for term in terms:
+                acc += term
+            return acc
+
+        assert (pt.evm_rms_pct, pt.est_snr_db) == row_floats(left_to_right)
+        for other_order in (math.fsum, np.sum):
+            other = row_floats(other_order)
+            assert other[0] != pt.evm_rms_pct and other[1] != pt.est_snr_db
 
 
 class TestRateInvariance:
