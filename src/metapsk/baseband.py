@@ -39,19 +39,21 @@ class TxMode(Enum):
 
 # Gray labelling: bit triples of adjacent constellation points differ in
 # exactly one position.  _GRAY_FROM_INDEX[k] is the bit word of symbol k
-# and GRAY_BITS[k] its three bits, most significant first.
-_GRAY_FROM_INDEX = np.array([k ^ (k >> 1) for k in range(8)])
-_INDEX_FROM_GRAY = np.argsort(_GRAY_FROM_INDEX)
-GRAY_BITS = (_GRAY_FROM_INDEX[:, None] >> np.array([2, 1, 0])) & 1
+# and GRAY_BITS[k] its three bits, most significant first.  Bits and
+# symbol indices are uint8 throughout: a block of frames holds several
+# arrays of them at once.
+_GRAY_FROM_INDEX = np.array([k ^ (k >> 1) for k in range(8)], dtype=np.uint8)
+_INDEX_FROM_GRAY = np.argsort(_GRAY_FROM_INDEX).astype(np.uint8)
+GRAY_BITS = (_GRAY_FROM_INDEX[:, None] >> np.array([2, 1, 0], dtype=np.uint8)) & 1
 # GRAY_DISTANCE[8 * a + b]: how many bits of symbols a and b differ, so
 # bit errors count from symbol decisions without expanding them to bits.
 GRAY_DISTANCE = np.array([bin(int(_GRAY_FROM_INDEX[a] ^ _GRAY_FROM_INDEX[b])).count("1")
-                          for a in range(8) for b in range(8)])
+                          for a in range(8) for b in range(8)], dtype=np.uint8)
 GRAY_BITS.flags.writeable = GRAY_DISTANCE.flags.writeable = False
 
 
 def as_indices(values, n: int, what: str) -> np.ndarray:
-    """``values`` as a flat int64 array of indices below ``n``, a power of two.
+    """``values`` as a flat uint8 array of indices below ``n``, a power of two up to 256.
 
     Raises :class:`ValueError` unless every value is an integer in
     0..n-1; nothing is rounded, so a float array is refused outright.
@@ -61,7 +63,7 @@ def as_indices(values, n: int, what: str) -> np.ndarray:
     a = np.asarray(values).ravel()
     if a.size and (a.dtype.kind not in "biu" or not 0 <= np.bitwise_or.reduce(a) < n):
         raise ValueError(f"{what} must be integers in 0..{n - 1}")
-    return a.astype(np.int64, copy=False)
+    return a.astype(np.uint8, copy=False)
 
 
 def bits_to_symbols(bits) -> np.ndarray:
@@ -69,7 +71,11 @@ def bits_to_symbols(bits) -> np.ndarray:
     b = as_indices(bits, 2, "bits")
     if b.size % BITS_PER_SYMBOL != 0:
         raise ValueError("bit count must be a multiple of three")
-    return _INDEX_FROM_GRAY[(b[0::3] << 2) | (b[1::3] << 1) | b[2::3]]
+    triples = b.reshape(-1, BITS_PER_SYMBOL)
+    word = triples[:, 0] << 2
+    word |= triples[:, 1] << 1
+    word |= triples[:, 2]
+    return _INDEX_FROM_GRAY.take(word)
 
 
 def symbols_to_bits(symbols) -> np.ndarray:
@@ -77,15 +83,19 @@ def symbols_to_bits(symbols) -> np.ndarray:
     return GRAY_BITS.take(as_indices(symbols, 8, "symbol indices"), axis=0).ravel()
 
 
-def mean_power(samples: np.ndarray) -> float:
+def mean_power(samples: np.ndarray):
     """Mean squared magnitude, ``float(np.mean(np.abs(samples) ** 2))``.
 
     The same sum and division np.mean makes for a float array, without
-    its Python wrapper: this runs several times per frame.
+    its Python wrapper: this runs several times per frame.  A 2-D block
+    gives an array with each row's mean, which equals the row's own call
+    bit for bit: numpy sums each row along its contiguous last axis
+    exactly as it sums a 1-D array.
     """
     power = np.abs(samples)
     np.square(power, out=power)
-    return float(np.add.reduce(power, axis=None) / power.size)
+    means = np.add.reduce(power, axis=-1) / power.shape[-1]
+    return float(means) if power.ndim == 1 else means
 
 
 def _frozen(fn):
@@ -198,23 +208,38 @@ def symbol_centres(layout: FrameLayout, oversampling: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Frame:
+    """One frame's symbol indices, or a block of frames' with a leading row axis."""
+
     layout: FrameLayout
     symbols: np.ndarray
 
     def data_symbols(self) -> np.ndarray:
-        return self.symbols[self.layout.data_slice]
+        return self.symbols[..., self.layout.data_slice]
 
 
 def build_frame(payload_bits, layout: FrameLayout = FrameLayout()) -> Frame:
-    """Assemble sync + pilot + payload into one frame of symbol indices."""
-    if np.size(payload_bits) != layout.payload_bits:
-        raise ValueError(f"payload must be exactly {layout.payload_bits} bits, got {np.size(payload_bits)}")
-    return Frame(layout, np.concatenate([training_symbols(layout), bits_to_symbols(payload_bits)]))
+    """Assemble sync + pilot + payload into one frame of symbol indices.
+
+    A ``(B, payload_bits)`` array is a block of B payloads, and gives a
+    block of B frames, one per row.
+    """
+    payload_bits = np.asarray(payload_bits)
+    if payload_bits.ndim not in (1, 2) or payload_bits.shape[-1] != layout.payload_bits:
+        raise ValueError(f"payload must be exactly {layout.payload_bits} bits per frame, "
+                         f"got shape {payload_bits.shape}")
+    train = training_symbols(layout)
+    symbols = np.empty((*payload_bits.shape[:-1], layout.total_symbols), dtype=np.uint8)
+    symbols[..., :train.size] = train
+    symbols[..., train.size:] = bits_to_symbols(payload_bits).reshape(symbols.shape[:-1] + (-1,))
+    return Frame(layout, symbols)
 
 
 @dataclass(frozen=True)
 class Waveform:
-    """Complex baseband samples, ``oversampling`` per symbol."""
+    """Complex baseband samples, ``oversampling`` per symbol.
+
+    A 2-D ``samples`` array is a block of frames, one per row.
+    """
 
     samples: np.ndarray
     oversampling: int
@@ -238,17 +263,21 @@ def synthesize(
 
     The caller builds ``rc`` for the symbol rate, with a sample period
     of 1 / (symbol_rate * oversampling); the lag is the only place the
-    symbol rate acts on the samples.
+    symbol rate acts on the samples.  A block of frames gives a block of
+    waveforms, one per row; the surface runs each row's lag on its own.
     """
     if oversampling < 1:
         raise ValueError("oversampling must be >= 1")
     if mode is TxMode.CONVENTIONAL:
-        samples = constellation(phase_offset_deg)[frame.symbols]
+        samples = constellation(phase_offset_deg).take(frame.symbols)
         if oversampling > 1:
-            samples = np.repeat(samples, oversampling)
+            samples = np.repeat(samples, oversampling, axis=-1)
     elif mode is TxMode.METASURFACE:
         volts = bias_voltage_table(curve, phase_offset_deg)
-        trajectory = voltage_trajectory(rc, volts, frame.symbols, oversampling)
+        rows = [voltage_trajectory(rc, volts, row, oversampling)
+                for row in frame.symbols.reshape(-1, frame.symbols.shape[-1])]
+        # one row is reshaped, not copied: frames that long run one at a time
+        trajectory = np.stack(rows) if len(rows) > 1 else rows[0].reshape(*frame.symbols.shape[:-1], -1)
         samples = uniform_reflection(curve, trajectory, incident_amplitude)
     else:
         raise ValueError(f"unknown mode {mode!r}")

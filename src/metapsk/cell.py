@@ -109,10 +109,13 @@ def voltage_to_reflection(curve: VoltagePhaseCurve, voltage):
     phase = curve.phase_deg(np.atleast_1d(voltage))
     np.deg2rad(phase, out=phase)
     # cos + i sin written into one array and scaled in place: amplitude *
-    # exp(1j * phase) bit for bit, without a complex exponential
+    # exp(1j * phase) bit for bit, without a complex exponential.  Over
+    # flat views: numpy writes the strided real and imaginary parts of a
+    # 2-D array (a block of frames) more slowly, with the same values.
     gamma = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=gamma.real)
-    np.sin(phase, out=gamma.imag)
+    flat = gamma.reshape(-1)
+    np.cos(phase.reshape(-1), out=flat.real)
+    np.sin(phase.reshape(-1), out=flat.imag)
     gamma *= curve.amplitude
     if np.ndim(voltage) == 0:
         return complex(gamma[0])
@@ -214,7 +217,7 @@ def voltage_trajectory(rc: RcDynamics, levels, symbols, oversampling: int) -> np
         raise ValueError(f"levels must hold {PSK_ORDER} voltages")
     symbols = np.asarray(symbols)
     n = symbols.size
-    charge = ((1.0 - a) * levels)[symbols]
+    charge = ((1.0 - a) * levels).take(symbols)
     start = a * levels[symbols[0]]
     if (a**oversampling) ** _LAG_REPAIR_ROUNDS >= 2.0**-53:
         entry = np.array(_walk(start, charge, oversampling, a))
@@ -231,8 +234,9 @@ def _table_entries(a: float, levels: np.ndarray, symbols: np.ndarray, charge: np
                    start: float, oversampling: int) -> np.ndarray:
     """Each symbol's entry state, looked up by history in the lag table and repaired."""
     n = symbols.size
-    history = np.concatenate((np.full(_LAG_HISTORY, symbols[0]), symbols))
-    keys = history[:n].astype(np.intp)
+    # intp throughout: or-ing narrower indices into the keys casts them on every pass
+    history = np.concatenate((np.full(_LAG_HISTORY, symbols[0]), symbols)).astype(np.intp, copy=False)
+    keys = history[:n].copy()
     for shift in range(1, _LAG_HISTORY + 1):
         keys <<= 3
         keys |= history[shift:shift + n]

@@ -74,7 +74,7 @@ def draw_noise(seed: int, samples: int, out: np.ndarray | None = None) -> np.nda
     return np.random.default_rng(seed).standard_normal(2 * samples, out=out)
 
 
-def apply_channel(wave: Waveform, cfg: ChannelConfig, seed: int, draw=draw_noise) -> Waveform:
+def apply_channel(wave: Waveform, cfg: ChannelConfig, seed, draw=draw_noise) -> Waveform:
     """Scale the waveform per the channel config and add complex AWGN.
 
     Noise is circularly symmetric and drawn from ``seed``: the same
@@ -83,30 +83,37 @@ def apply_channel(wave: Waveform, cfg: ChannelConfig, seed: int, draw=draw_noise
     hands over the same normals drawn ahead of time; they are scaled in
     place.  A config whose gain or noise power is not a finite positive
     number for this waveform raises :class:`ValueError`.
+
+    A block of frames (a 2-D waveform) takes one seed per row in
+    ``seed``, and each row goes through the channel as its own frame
+    would: its own gain and noise power, and the normals of its seed.
     """
     x = wave.samples
-    p_in = mean_power(x)
-    if p_in == 0.0:
+    n = x.shape[-1]
+    seeds = [seed] if x.ndim == 1 else list(seed)
+    powers = mean_power(x.reshape(-1, n)).tolist()
+    if 0.0 in powers:
         raise ValueError("input waveform has zero power")
-
-    if cfg.snr_db is not None:
-        if cfg.snr_db == math.inf:
-            return Waveform(x.copy(), wave.oversampling)
-        gain = 1.0
-        noise_power = p_in / _db_to_linear(cfg.snr_db, "SNR")
-    else:
-        p_rx = _db_to_linear(cfg.tx_power_dbm - cfg.link_loss_db, "received power")
-        gain = math.sqrt(p_rx / p_in)
-        noise_power = _db_to_linear(cfg.noise_floor_dbm, "noise floor")
-    if not (0.0 < gain < math.inf and 0.0 < noise_power < math.inf):
-        raise ValueError(f"channel gain {gain} and noise power {noise_power} "
-                         "must be finite and positive")
-
-    normals = draw(seed, x.size)
-    normals *= math.sqrt(noise_power / 2.0)
-    out = gain * x
-    out.real += normals[: x.size]
-    out.imag += normals[x.size:]
+    if cfg.snr_db == math.inf:
+        return Waveform(x.copy(), wave.oversampling)
+    out = np.empty_like(x)
+    for row, out_row, p_in, row_seed in zip(x.reshape(-1, n), out.reshape(-1, n), powers, seeds,
+                                            strict=True):
+        if cfg.snr_db is not None:
+            gain = 1.0
+            noise_power = p_in / _db_to_linear(cfg.snr_db, "SNR")
+        else:
+            p_rx = _db_to_linear(cfg.tx_power_dbm - cfg.link_loss_db, "received power")
+            gain = math.sqrt(p_rx / p_in)
+            noise_power = _db_to_linear(cfg.noise_floor_dbm, "noise floor")
+        if not (0.0 < gain < math.inf and 0.0 < noise_power < math.inf):
+            raise ValueError(f"channel gain {gain} and noise power {noise_power} "
+                             "must be finite and positive")
+        normals = draw(row_seed, n)
+        normals *= math.sqrt(noise_power / 2.0)
+        np.multiply(row, gain, out=out_row)
+        out_row.real += normals[:n]
+        out_row.imag += normals[n:]
     return Waveform(out, wave.oversampling)
 
 

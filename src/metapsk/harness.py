@@ -9,6 +9,15 @@ A sweep of long frames on a machine with a second CPU draws each
 trial's channel noise one trial ahead in a forked helper process
 (:class:`_NoiseHelper`); the draw depends on the trial's seed alone, so
 the results are the same bytes either way.
+
+Otherwise a point runs its trials in blocks (:func:`run_trials`): 1, 2,
+4, ... frames go through the chain together, up to ``_BLOCK_SAMPLES``
+samples a block.  Short frames spend most of a trial on numpy's
+per-call cost, which a block pays once; blocks start small so that a
+point that stops after a frame or two computes few trials it drops.
+Every frame of a block keeps its own seeds and its own per-frame steps,
+so a trial's outcome, and with it every point, is the same whatever
+block it runs in.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .baseband import TxMode, build_frame, synthesize
+from .baseband import FrameLayout, TxMode, build_frame, synthesize
 from .channel import ChannelConfig, apply_channel, draw_noise, realized_snr_db
 from .config import SimConfig
 from .receiver import SyncError, measure, receive_frame
@@ -100,25 +109,49 @@ def _noise_seed(trial_seed: int) -> int:
     return derive_seed(trial_seed, "noise")
 
 
-def run_trial(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seed: int,
-              draw=draw_noise):
-    """One frame through the chain: (received frame, link metrics).
+def run_trials(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seeds,
+               draw=draw_noise) -> list:
+    """A block of frames through the chain, one per trial seed, in order.
 
-    Every setting, the symbol rate included, comes from ``cfg``.
-    ``draw`` gives the channel noise (see :func:`apply_channel`).
-    Raises :class:`SyncError` when the receiver finds no frame.
+    Each trial's outcome is its (received frame, link metrics), or the
+    :class:`SyncError` its frame raised.  Each frame gets the payload and
+    the noise of its own seed, so a trial's outcome does not depend on
+    the block it runs in.  Every setting, the symbol rate included, comes
+    from ``cfg``.  ``draw`` gives the channel noise (see
+    :func:`apply_channel`).
     """
     layout = cfg.layout()
-    rng = np.random.default_rng(derive_seed(seed, "payload"))
-    payload = rng.integers(0, 2, size=layout.payload_bits)
+    payload = np.empty((len(seeds), layout.payload_bits), dtype=np.uint8)
+    for row, seed in zip(payload, seeds):
+        row[:] = np.random.default_rng(derive_seed(seed, "payload")).integers(0, 2, size=row.size)
     frame = build_frame(payload, layout)
     wave = synthesize(
         frame, mode, cfg.curve(), cfg.rc(), cfg.oversampling,
         phase_offset_deg=cfg.phase_offset_deg, incident_amplitude=cfg.incident_amplitude,
     )
-    rx = apply_channel(wave, channel, _noise_seed(seed), draw)
-    received = receive_frame(rx, layout, cfg.sync_threshold)
-    return received, measure(received, payload, frame.data_symbols())
+    rx = apply_channel(wave, channel, [_noise_seed(seed) for seed in seeds], draw)
+    del wave  # a block's sample arrays are freed as soon as they are used: peak memory
+    outcomes = receive_frame(rx, layout, cfg.sync_threshold)
+    del rx
+    passed = [i for i, received in enumerate(outcomes) if not isinstance(received, SyncError)]
+    rows = passed if len(passed) < len(seeds) else slice(None)  # a slice copies nothing
+    metrics = measure([outcomes[i] for i in passed], payload[rows], frame.data_symbols()[rows])
+    for i, m in zip(passed, metrics):
+        outcomes[i] = outcomes[i], m
+    return outcomes
+
+
+def run_trial(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seed: int,
+              draw=draw_noise):
+    """One frame through the chain: (received frame, link metrics).
+
+    The block of :func:`run_trials` with ``seed`` alone.  Raises
+    :class:`SyncError` when the receiver finds no frame.
+    """
+    (outcome,) = run_trials(mode, cfg, channel, [seed], draw)
+    if isinstance(outcome, SyncError):
+        raise outcome
+    return outcome
 
 
 @dataclass
@@ -140,6 +173,22 @@ class PointResult:
     frames: int
     sync_failures: int
     low_confidence: bool
+
+
+# A block of trials holds at most this many samples: 8 frames of the
+# default layout at oversampling 1.  Each row adds its arrays to the
+# sweep's peak memory (~0.13 MB a row at oversampling 1), so longer
+# frames get fewer rows, and frames of more samples run one at a time;
+# 16 rows ran about 7 % faster than 8 for twice the memory.
+_BLOCK_SAMPLES = 8 * FrameLayout().total_symbols
+
+
+def _blocks(items, cap: int):
+    """``items`` in consecutive lists of 1, 2, 4, ... up to ``cap`` items."""
+    items, size = iter(items), 1
+    while block := list(itertools.islice(items, size)):
+        yield block
+        size = min(2 * size, cap)
 
 
 # Frames of at least this many samples draw their noise in a helper
@@ -294,19 +343,24 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
               noise: _NoiseHelper | None = None) -> PointResult:
     """Measure one sweep point, stopping at the confidence floor.
 
-    Four steps: a seed per trial; each trial's outcome, run only when
-    taken; :func:`_until_stop`; the row, from those outcomes alone, which
-    is ``low_confidence`` below ``cfg.min_errors`` errors and has NaN
-    rates if no frame passed sync.  A symbol-rate point runs every trial
-    at ``value``, any other point at ``cfg.symbol_rate_hz``.
+    Four steps: a seed per trial; each trial's outcome, its block run
+    when the trial is taken; :func:`_until_stop`; the row, from those
+    outcomes alone, which is ``low_confidence`` below ``cfg.min_errors``
+    errors and has NaN rates if no frame passed sync.  A symbol-rate
+    point runs every trial at ``value``, any other point at
+    ``cfg.symbol_rate_hz``.
 
     With ``paired=True`` the trial seeds do not include the mode, so runs
     of different modes at the same value see identical payloads and noise
     (common random numbers) and the stopping rule is disabled to keep the
     trial count aligned across modes.
 
-    ``noise``, when given, draws each trial's channel noise one trial
-    ahead; the result is the same.
+    Trials run in blocks of 1, 2, 4, ... up to ``_BLOCK_SAMPLES``
+    samples (see the module notes), and the stop rule replays each
+    block's outcomes in trial order: the trials of a block past the stop
+    are dropped.  ``noise``, when given, draws each trial's channel noise
+    one trial ahead, so each block is one trial; the result is the same
+    either way.
     """
     if var is SweepVar.SYMBOL_RATE:
         cfg = replace(cfg, symbol_rate_hz=value)
@@ -314,12 +368,16 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
     labels = (var.value, repr(float(value))) if paired else (mode.value, var.value, repr(float(value)))
     seeds = (derive_seed(master_seed, *labels, trial) for trial in range(trials))
 
+    if noise:  # one trial a block, so each block's noise is drawn during the one before
+        blocks = (([seed], draw) for seed, draw in noise.ahead(seeds))
+    else:
+        samples = cfg.layout().total_symbols * cfg.oversampling
+        blocks = ((block, draw_noise) for block in _blocks(seeds, max(1, _BLOCK_SAMPLES // samples)))
+
     def outcomes():  # each trial's LinkMetrics, or None where sync failed
-        for seed, draw in noise.ahead(seeds) if noise else zip(seeds, itertools.repeat(draw_noise)):
-            try:
-                yield run_trial(mode, cfg, channel, seed, draw)[1]
-            except SyncError:
-                yield None
+        for block, draw in blocks:
+            for outcome in run_trials(mode, cfg, channel, block, draw):
+                yield None if isinstance(outcome, SyncError) else outcome[1]
 
     taken = list(outcomes()) if paired else _until_stop(outcomes(), cfg)
 
@@ -369,23 +427,47 @@ def run_sweep(spec: SweepSpec, cfg: SimConfig) -> list[PointResult]:
             noise.close()
 
 
+# The parsers take only what the writer writes: Python's int() and
+# float() would also take surrounding spaces and digit underscores.
+
 def _parse_flag(text: str) -> bool:
     if text not in ("0", "1"):
         raise ValueError(f"{text!r} is not 0 or 1")
     return text == "1"
 
 
-# (format, parse) for each field type of PointResult.
+def _parse_count(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a count (digits 0-9 only)")
+    return int(text)
+
+
+def _parse_float(text: str) -> float:
+    if text != text.strip() or "_" in text:
+        raise ValueError(f"{text!r} is not a float as written (no spaces or underscores)")
+    return float(text)
+
+
+def _parse_rate(text: str) -> float:
+    rate = _parse_float(text)
+    if not (math.isnan(rate) or 0.0 <= rate <= 1.0):  # NaN: no frame passed sync
+        raise ValueError(f"{text!r} is not a rate in [0, 1] or nan")
+    return rate
+
+
+# (format, parse) for each field type of PointResult; every int field is a count.
 _CSV_CODECS = {
     TxMode: (lambda x: x.value, TxMode),
     SweepVar: (lambda x: x.value, SweepVar),
-    float: (lambda x: repr(float(x)), float),
-    float | None: (lambda x: "" if x is None else repr(float(x)), lambda s: float(s) if s else None),
-    int: (str, int),
+    float: (lambda x: repr(float(x)), _parse_float),
+    float | None: (lambda x: "" if x is None else repr(float(x)),
+                   lambda s: _parse_float(s) if s else None),
+    int: (str, _parse_count),
     bool: (lambda x: "1" if x else "0", _parse_flag),
 }
 # column name -> (format, parse), in PointResult's field order
 _CSV_COLUMNS = {name: _CSV_CODECS[kind] for name, kind in get_type_hints(PointResult).items()}
+_CSV_COLUMNS["ber"] = _CSV_COLUMNS["ser"] = (_CSV_CODECS[float][0], _parse_rate)
 
 
 def write_results_csv(path, results: list[PointResult]) -> None:
@@ -400,7 +482,9 @@ def write_results_csv(path, results: list[PointResult]) -> None:
 def read_results_csv(path) -> list[PointResult]:
     """The rows of a ``results.csv``.
 
-    A missing column, a short row or a field that does not parse raises
+    A missing column, a short row or a field the writer would not have
+    written (a negative count, spaces or digit underscores in a number,
+    a ``ber`` or ``ser`` outside [0, 1] that is not NaN) raises
     :class:`ValueError` naming ``path:line`` and the column.
     """
     with open(path, newline="") as fh:

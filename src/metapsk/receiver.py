@@ -34,6 +34,7 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from .baseband import (
+    BITS_PER_SYMBOL,
     GRAY_BITS,
     GRAY_DISTANCE,
     FrameLayout,
@@ -175,22 +176,26 @@ def demodulate(samples: np.ndarray, phase_offset_deg: float = 0.0) -> tuple[np.n
     """Nearest-point 8PSK decisions; returns (bits, symbol indices).
 
     Decision regions are 45 deg wedges centred on the constellation
-    points; a sample on a boundary belongs to the higher index.
+    points; a sample on a boundary belongs to the higher index.  A 2-D
+    block gives each row's bits and indices in its own row.
     """
     theta = np.angle(samples, deg=True)
     if phase_offset_deg:
         theta = (theta - phase_offset_deg) % 360.0
     else:
         # angle() lies in [-180, 180], where adding 360 to the negative
-        # half gives the same float as % 360 (-0.0 stays -0.0, which
-        # + 22.5 below turns into 22.5 all the same).
-        np.add(theta, 360.0, out=theta, where=theta < 0.0)
+        # half gives the same float as % 360; the rest gains 0.0, which
+        # turns -0.0 into 0.0, and + 22.5 below makes both 22.5.  (A
+        # masked add, ``where=theta < 0``, gives the same floats at six
+        # times the cost.)
+        theta += (theta < 0.0) * 360.0
     theta += 22.5
     theta /= 45.0
     # theta >= 0, so the cast truncates as floor would; & 7 is % 8.
-    indices = theta.astype(np.int64)
+    indices = theta.astype(np.uint8)
     indices &= 7
-    return GRAY_BITS.take(indices, axis=0).ravel(), indices
+    bits = GRAY_BITS.take(indices, axis=0)
+    return bits.reshape(*indices.shape[:-1], BITS_PER_SYMBOL * indices.shape[-1]), indices
 
 
 @dataclass(frozen=True)
@@ -213,6 +218,15 @@ def _frame_reference(layout: FrameLayout, oversampling: int) -> _FrameReference:
     return _FrameReference(centres, train_ref, pilot_ref, mean_power(pilot_ref))
 
 
+@lru_cache(maxsize=1)
+def _point_power() -> np.ndarray:
+    """|c|^2 of each constellation point, as :func:`mean_power` squares it."""
+    power = np.abs(constellation())
+    np.square(power, out=power)
+    power.flags.writeable = False
+    return power
+
+
 @dataclass(frozen=True)
 class ReceivedFrame:
     sync: SyncResult
@@ -227,30 +241,56 @@ def receive_frame(
     wave: Waveform,
     layout: FrameLayout = FrameLayout(),
     threshold: float = SYNC_THRESHOLD_DEFAULT,
-) -> ReceivedFrame:
+):
     """Run the full chain on a waveform containing one frame.
 
     A constellation rotation at the transmitter ends up in
     ``estimate.gain``; ``eq_data`` lies on the unrotated constellation.
+
+    A block of frames (a 2-D waveform, one frame per row) gives a list
+    with one entry per row: its :class:`ReceivedFrame`, or the
+    :class:`SyncError` its row raised.  Each row is synchronized and its
+    gain estimated on its own; the rows that passed are then equalized,
+    sliced and demodulated together, and their frames hold rows of the
+    block's arrays.
     """
     ovs = wave.oversampling
     ref = _frame_reference(layout, ovs)
-    max_start = wave.samples.size - layout.total_symbols * ovs
-    sync = synchronize(wave, sync_symbols(layout.sync_len), threshold, max_start=max_start)
-    y = wave.samples[sync.frame_start:][ref.centres]
+    n = wave.samples.shape[-1]
+    rows = wave.samples.reshape(-1, n)
+    max_start = n - layout.total_symbols * ovs
+    sync_syms = sync_symbols(layout.sync_len)
+    training = layout.sync_len + layout.pilot_len
+    outcomes: list = [None] * rows.shape[0]
+    passed = []  # (row, sync, estimate) of each row that passed sync
+    # equalized pilot and data sections of those rows; nothing reads the sync section's
+    y_eq = np.empty((rows.shape[0], layout.pilot_len + layout.data_symbols), dtype=complex)
+    for i, row in enumerate(rows):
+        try:
+            sync = synchronize(Waveform(row, ovs), sync_syms, threshold, max_start=max_start)
+        except SyncError as exc:
+            outcomes[i] = exc
+            continue
+        y = row[sync.frame_start:][ref.centres]
+        # Estimate over sync + pilot: with only the 32 pilot symbols the
+        # estimate's own noise (1/32 of the sample noise) visibly inflates
+        # BER on the steep part of the waterfall.
+        estimate = estimate_channel(y[:training], ref.train_ref)
+        np.divide(y[layout.sync_len:], estimate.gain, out=y_eq[len(passed)])
+        passed.append((i, sync, estimate))
+    y_eq = y_eq[: len(passed)]
 
-    # Estimate over sync + pilot: with only the 32 pilot symbols the
-    # estimate's own noise (1/32 of the sample noise) visibly inflates
-    # BER on the steep part of the waterfall.
-    estimate = estimate_channel(y[: layout.pilot_slice.stop], ref.train_ref)
-    y_eq = y / estimate.gain
-
-    resid_power = mean_power(y_eq[layout.pilot_slice] - ref.pilot_ref)
-    est_snr_db = math.inf if resid_power == 0.0 else 10.0 * math.log10(ref.pilot_power / resid_power)
-
-    eq_data = y_eq[layout.data_slice]
+    resid_power = mean_power(y_eq[:, : layout.pilot_len] - ref.pilot_ref).tolist()
+    eq_data = y_eq[:, layout.pilot_len:]
     bits, symbols = demodulate(eq_data)
-    return ReceivedFrame(sync, estimate, eq_data, bits, symbols, est_snr_db)
+    for k, ((i, sync, estimate), resid) in enumerate(zip(passed, resid_power)):
+        est_snr_db = math.inf if resid == 0.0 else 10.0 * math.log10(ref.pilot_power / resid)
+        outcomes[i] = ReceivedFrame(sync, estimate, eq_data[k], bits[k], symbols[k], est_snr_db)
+    if wave.samples.ndim > 1:
+        return outcomes
+    if isinstance(outcomes[0], SyncError):
+        raise outcomes[0]
+    return outcomes[0]
 
 
 @dataclass(frozen=True)
@@ -265,34 +305,49 @@ class LinkMetrics:
     symbols_compared: int
 
 
-def measure(received: ReceivedFrame, ref_bits: np.ndarray, ref_symbols: np.ndarray) -> LinkMetrics:
+def measure(received, ref_bits: np.ndarray, ref_symbols: np.ndarray):
     """Error rates and EVM of one received frame against the truth.
 
     ``ref_bits`` are the Gray bits of ``ref_symbols`` (indices 0..7), as
     :func:`~metapsk.baseband.build_frame` pairs them.  Errors are counted
     from symbols: each decision adds its Gray distance to the sent
     symbol, which is the number of its bits that differ.
+
+    A list of received frames, with one row of ``ref_bits`` and of
+    ``ref_symbols`` per frame, gives a list of each frame's metrics,
+    worked out for all the frames at once.
     """
+    frames = [received] if isinstance(received, ReceivedFrame) else received
     ref_symbols = as_indices(ref_symbols, 8, "reference symbols")
-    if received.bits.size != np.size(ref_bits) or received.symbols.size != ref_symbols.size:
+    if not frames:
+        return []
+    n_bits, n_syms = frames[0].bits.size, frames[0].symbols.size
+    if (any(f.bits.size != n_bits or f.symbols.size != n_syms for f in frames)
+            or np.size(ref_bits) != n_bits * len(frames) or ref_symbols.size != n_syms * len(frames)):
         raise ValueError("reference length does not match the received frame")
+    # intp indices: numpy's take converts any other index type first
+    symbols = np.concatenate([f.symbols for f in frames]).astype(np.intp).reshape(len(frames), n_syms)
 
-    distance = GRAY_DISTANCE[(received.symbols << 3) | ref_symbols]
-    bit_errors = int(distance.sum())
-    symbol_errors = int(np.count_nonzero(distance))
-    n_bits = received.bits.size
-    n_syms = ref_symbols.size
-
-    nearest = constellation()[received.symbols]
-    evm = math.sqrt(mean_power(received.eq_data - nearest) / mean_power(nearest)) * 100.0
-
-    return LinkMetrics(
-        ber=bit_errors / n_bits,
-        ser=symbol_errors / n_syms,
-        evm_rms_pct=evm,
-        est_snr_db=received.est_snr_db,
-        bits_compared=n_bits,
-        bit_errors=bit_errors,
-        symbol_errors=symbol_errors,
-        symbols_compared=n_syms,
-    )
+    distance = GRAY_DISTANCE.take((symbols << 3) | ref_symbols.reshape(symbols.shape))
+    error = constellation().take(symbols)
+    for row, frame in zip(error, frames):
+        np.subtract(frame.eq_data, row, out=row)
+    # mean_power(constellation()[symbols]), from each point's power
+    nearest = np.add.reduce(_point_power().take(symbols), axis=1) / n_syms
+    rows = zip(frames, np.add.reduce(distance, axis=1).tolist(),
+               np.add.reduce(distance != 0, axis=1).tolist(),
+               mean_power(error).tolist(), nearest.tolist())
+    metrics = [
+        LinkMetrics(
+            ber=errors / n_bits,
+            ser=wrong / n_syms,
+            evm_rms_pct=math.sqrt(error_power / nearest_power) * 100.0,
+            est_snr_db=frame.est_snr_db,
+            bits_compared=n_bits,
+            bit_errors=errors,
+            symbol_errors=wrong,
+            symbols_compared=n_syms,
+        )
+        for frame, errors, wrong, error_power, nearest_power in rows
+    ]
+    return metrics[0] if isinstance(received, ReceivedFrame) else metrics

@@ -72,12 +72,12 @@ def synthetic_point(mode, value, ber, var=None):
     return PointResult(
         mode=mode, sweep_var=SweepVar.SNR if var is None else var, value=value,
         symbol_rate_hz=2.048e6, snr_db=value, tx_power_dbm=None,
-        ber=ber, ser=3 * ber, evm_rms_pct=10.0, est_snr_db=value,
+        ber=ber, ser=min(1.0, 3 * ber), evm_rms_pct=10.0, est_snr_db=value,
         bits=10**6, bit_errors=int(ber * 10**6), frames=100,
         sync_failures=0, low_confidence=False,
     )
 
 
 def loglinear_curve(mode, offset_db, values=(0.0, 4.0, 8.0, 12.0, 16.0)):
-    """BER falls one decade per 4 dB, shifted right by offset_db."""
-    return [synthetic_point(mode, v, 10.0 ** (-(v - offset_db) / 4.0)) for v in values]
+    """BER falls one decade per 4 dB, shifted right by offset_db, from at most 0.5 (a coin toss)."""
+    return [synthetic_point(mode, v, min(0.5, 10.0 ** (-(v - offset_db) / 4.0))) for v in values]

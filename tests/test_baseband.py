@@ -138,6 +138,15 @@ class TestMeanPower:
         for x in (samples, samples[96:], samples[:32], samples[::8]):
             assert mean_power(x) == float(np.mean(np.abs(x) ** 2))
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 8, 13, 64])
+    @pytest.mark.parametrize("length", [7, 32, 129, 2304, 2400, 9600])
+    def test_each_row_of_a_block_is_its_own_call(self, rows, length):
+        """Up to the longest row a block of two holds: 19,200 samples over two rows."""
+        rng = np.random.default_rng(rows * length)
+        block = rng.standard_normal((rows, length + 96)) + 1j * rng.standard_normal((rows, length + 96))
+        for x in (block[:, :length], block[:, 96:]):  # a block's rows are views, as in the receiver
+            assert mean_power(x).tolist() == [mean_power(row) for row in x]
+
 
 class TestTrainingSequences:
     def test_pn_is_maximal_length(self):

@@ -396,14 +396,30 @@ OVERSAMPLED_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("oversampling", sorted(OVERSAMPLED_SHA256))
-def test_oversampled_artifacts_match_pinned_digests(capsys, tmp_path, oversampling):
+# sha256 of `sweep --var snr --trials 40 --seed 11` artifacts at oversampling
+# 1, where trials run in blocks of 1, 2, 4 and then 8: the points that stop
+# early stop inside a block (after 2 and 6 frames), and the rest run 40.
+BLOCKED_SHA256 = {
+    "results.csv": "0f8b055640442b853a6a88cafbb14045a640e95e76c8fb170795913a7245b0bb",
+    "manifest.json": "c2533c6b478662366738b110253a2de9cea3eaef732f53cb417e64c25f5657eb",
+}
+
+
+def _snr_sweep_digests(capsys, tmp_path, oversampling, trials):
     cfg = tmp_path / "ovs.cfg"
     cfg.write_text(f"oversampling = {oversampling}\n")
     out = tmp_path / "out"
-    assert main(["sweep", "--var", "snr", "--trials", "2", "--seed", "11",
+    assert main(["sweep", "--var", "snr", "--trials", str(trials), "--seed", "11",
                  "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
-    expected = OVERSAMPLED_SHA256[oversampling]
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected}
-    assert got == expected
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("results.csv", "manifest.json")}
+
+
+@pytest.mark.parametrize("oversampling", sorted(OVERSAMPLED_SHA256))
+def test_oversampled_artifacts_match_pinned_digests(capsys, tmp_path, oversampling):
+    assert _snr_sweep_digests(capsys, tmp_path, oversampling, 2) == OVERSAMPLED_SHA256[oversampling]
+
+
+def test_blocked_sweep_matches_pinned_digests(capsys, tmp_path):
+    assert _snr_sweep_digests(capsys, tmp_path, 1, 40) == BLOCKED_SHA256

@@ -1,6 +1,7 @@
 """Sweep driver, result serialization, and mode comparison tests."""
 
 import cmath
+import itertools
 import json
 import math
 import os
@@ -185,13 +186,11 @@ class TestPointRow:
         frames = [_metrics(10, 1, 1e8, 0.0), *(_metrics(10, 1, 1.0, -160.0) for _ in range(16))]
         outcomes = iter([*frames[:5], None, *frames[5:]])
 
-        def trial(*args):
-            metrics = next(outcomes)
-            if metrics is None:
-                raise SyncError("no frame")
-            return None, metrics
+        def trials(mode, cfg, channel, seeds, draw):
+            return [SyncError("no frame") if m is None else (None, m)
+                    for m in itertools.islice(outcomes, len(seeds))]
 
-        monkeypatch.setattr(harness, "run_trial", trial)
+        monkeypatch.setattr(harness, "run_trials", trials)
         pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 10.0, fast_cfg(), master_seed=1, trials=18)
         assert (pt.frames, pt.sync_failures, pt.bits, pt.bit_errors, pt.ber) == (17, 1, 170, 17, 0.1)
 
@@ -212,6 +211,59 @@ class TestPointRow:
         for other_order in (math.fsum, np.sum):
             other = row_floats(other_order)
             assert other[0] != pt.evm_rms_pct and other[1] != pt.est_snr_db
+
+
+def _point_at_each_block_cap(monkeypatch, snr_db, paired=False):
+    """The conventional point at ``snr_db`` (seed 11, 40 trials) with the default
+    block cap, then with caps of 1, 2 and 3 frames."""
+    cfg = fast_cfg()
+    frame_samples = cfg.layout().total_symbols * cfg.oversampling
+    points = []
+    for cap in (None, 1, 2, 3):
+        if cap is not None:
+            monkeypatch.setattr(harness, "_BLOCK_SAMPLES", cap * frame_samples)
+        points.append(run_point(TxMode.CONVENTIONAL, SweepVar.SNR, snr_db, cfg, master_seed=11,
+                                trials=40, paired=paired))
+    return points
+
+
+class TestTrialBlocks:
+    """A point's row and a trial's outcome do not depend on the blocks trials run in."""
+
+    def test_sync_failures_inside_blocks(self, monkeypatch):
+        # trials 1, 7, 13, 21, 24, 27 and 30 fail sync: first, last and middle rows of blocks
+        default, *capped = _point_at_each_block_cap(monkeypatch, -4.0, paired=True)
+        assert (default.frames, default.sync_failures) == (33, 7)
+        assert capped == [default] * 3
+
+    def test_stop_inside_a_block(self, monkeypatch):
+        # the stop at trial 6 falls inside the default third block, trials 4-7
+        default, *capped = _point_at_each_block_cap(monkeypatch, 14.0)
+        assert (default.frames, default.bit_errors) == (6, 106)
+        assert capped == [default] * 3
+
+    def test_paired_point_runs_every_block(self, monkeypatch):
+        default, *capped = _point_at_each_block_cap(monkeypatch, 16.0, paired=True)
+        assert default.frames == 40
+        assert capped == [default] * 3
+
+    @pytest.mark.parametrize("mode", list(TxMode))
+    def test_run_trial_is_its_row_of_a_block(self, mode):
+        cfg = fast_cfg()
+        channel = harness._channel_for(SweepVar.SNR, -4.0, cfg, mode)
+        seeds = [derive_seed(11, SweepVar.SNR.value, repr(-4.0), trial) for trial in range(9)]
+        block = harness.run_trials(mode, cfg, channel, seeds)
+        failed = 0
+        for seed, outcome in zip(seeds, block):
+            try:
+                received, metrics = run_trial(mode, cfg, channel, seed)
+            except SyncError as exc:
+                failed += 1
+                assert isinstance(outcome, SyncError) and str(outcome) == str(exc)
+                continue
+            assert outcome[0].eq_data.tobytes() == received.eq_data.tobytes()
+            assert outcome[1] == metrics
+        assert 0 < failed < len(seeds)
 
 
 class TestRateInvariance:
@@ -373,6 +425,10 @@ class TestNoiseHelper:
         _no_child_left()
 
 
+# an error rate as a results.csv row holds it: in [0, 1], or NaN where no frame passed sync
+_rate = st.just(math.nan) | st.floats(0.0, 1.0)
+
+
 class TestResultsTable:
     def _small_sweep(self):
         spec = SweepSpec(SweepVar.SNR, values=(4.0, 8.0), trials=3, master_seed=19)
@@ -410,7 +466,7 @@ class TestResultsTable:
         PointResult,
         mode=st.sampled_from(TxMode), sweep_var=st.sampled_from(SweepVar),
         value=st.floats(), symbol_rate_hz=st.floats(), snr_db=st.floats(),
-        tx_power_dbm=st.none() | st.floats(), ber=st.floats(), ser=st.floats(),
+        tx_power_dbm=st.none() | st.floats(), ber=_rate, ser=_rate,
         evm_rms_pct=st.floats(), est_snr_db=st.floats(),
         bits=st.integers(0, 2**63), bit_errors=st.integers(0, 2**63),
         frames=st.integers(0, 2**31), sync_failures=st.integers(0, 2**31),
@@ -427,6 +483,23 @@ class TestResultsTable:
             assert [nan_aware(r) for r in back] == [nan_aware(r) for r in results]
             write_results_csv(second, back)
             assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("column,text", [
+        ("bits", " 1_000 "), ("bits", "1_000"), ("bits", " 6912"), ("bit_errors", "-3"),
+        ("frames", "+1"), ("sync_failures", "1.0"), ("ber", "1_0"), ("ber", " 0.5"), ("ber", "1.5"),
+        ("ser", "-0.25"), ("ser", "inf"), ("evm_rms_pct", "1_0.0"), ("snr_db", "12.0 "),
+        ("tx_power_dbm", " -30.0"),
+    ])
+    def test_text_the_writer_never_writes_is_refused(self, tmp_path, column, text):
+        """Python's int() and float() take spaces and digit underscores; the reader does not."""
+        path = tmp_path / "results.csv"
+        write_results_csv(path, [synthetic_point(TxMode.CONVENTIONAL, 10.0, 0.01, SweepVar.TX_POWER)])
+        header, row = path.read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        fields[column] = text
+        path.write_text(header + "\n" + ",".join(fields.values()) + "\n")
+        with pytest.raises(ValueError, match=f"^{path}:2: column '{column}': "):
+            read_results_csv(path)
 
     def test_power_sweep_records_tx_power(self, tmp_path):
         spec = SweepSpec(SweepVar.TX_POWER, values=(-22.0,),

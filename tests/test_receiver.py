@@ -301,8 +301,12 @@ class TestDecisionArithmetic:
         with np.errstate(invalid="ignore"):  # NaN samples: both sides cast NaN to int
             bits, indices = demodulate(samples, offset)
             expected = reference_decisions(samples, offset)
+            # a block of frames: each row decided as it would be alone
+            block_bits, block_indices = demodulate(np.stack([samples, samples[::-1]]), offset)
         np.testing.assert_array_equal(indices, expected)
         np.testing.assert_array_equal(bits, symbols_to_bits(expected))
+        np.testing.assert_array_equal(block_indices, [expected, expected[::-1]])
+        np.testing.assert_array_equal(block_bits, [bits, symbols_to_bits(expected[::-1])])
 
     @pytest.mark.parametrize("offset", OFFSETS_DEG)
     def test_every_boundary_and_its_neighbours(self, offset):
