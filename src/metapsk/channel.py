@@ -14,9 +14,7 @@ is charged (the surface's reflectivity and modulation loss) is already
 part of ``link_loss_db`` when the link is built.
 
 The noise seed is an argument of :func:`apply_channel`, not part of the
-channel: the same config and seed reproduce the output.  The noise
-itself is :func:`draw_noise` of that seed, which a caller may draw ahead
-of time and hand over.
+channel: the same config and seed reproduce the output.
 """
 
 from __future__ import annotations
@@ -65,23 +63,14 @@ def realized_snr_db(cfg: ChannelConfig) -> float:
     return cfg.tx_power_dbm - cfg.link_loss_db - cfg.noise_floor_dbm
 
 
-def draw_noise(seed: int, samples: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The 2n standard normals of an n-sample frame's noise, written to ``out`` if given.
-
-    The first n are the noise's real parts and the rest its imaginary
-    parts, as two successive draws of n would give.
-    """
-    return np.random.default_rng(seed).standard_normal(2 * samples, out=out)
-
-
-def apply_channel(wave: Waveform, cfg: ChannelConfig, seed, draw=draw_noise) -> Waveform:
+def apply_channel(wave: Waveform, cfg: ChannelConfig, seed) -> Waveform:
     """Scale the waveform per the channel config and add complex AWGN.
 
     Noise is circularly symmetric and drawn from ``seed``: the same
     config and seed on the same waveform reproduce the output exactly.
-    The normals are ``draw(seed, n)``, which is :func:`draw_noise` or
-    hands over the same normals drawn ahead of time; they are scaled in
-    place.  A config whose gain or noise power is not a finite positive
+    An n-sample frame's noise is 2n standard normals of the seed's
+    generator, real parts first, as two successive draws of n would
+    give.  A config whose gain or noise power is not a finite positive
     number for this waveform raises :class:`ValueError`.
 
     A block of frames (a 2-D waveform) takes one seed per row in
@@ -109,7 +98,7 @@ def apply_channel(wave: Waveform, cfg: ChannelConfig, seed, draw=draw_noise) -> 
         if not (0.0 < gain < math.inf and 0.0 < noise_power < math.inf):
             raise ValueError(f"channel gain {gain} and noise power {noise_power} "
                              "must be finite and positive")
-        normals = draw(row_seed, n)
+        normals = np.random.default_rng(row_seed).standard_normal(2 * n)
         normals *= math.sqrt(noise_power / 2.0)
         np.multiply(row, gain, out=out_row)
         out_row.real += normals[:n]

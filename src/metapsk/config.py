@@ -4,7 +4,8 @@ Every tunable of the simulator is a field here so a single file can
 reproduce a run.  A field's default comes from the class that uses the
 value, so each default is written once.  The file format is deliberately
 plain: one ``key = value`` pair per line, ``#`` starts a comment, lists
-are comma-separated.
+are comma-separated.  A key may appear once, and a list item may not be
+empty.
 """
 
 from __future__ import annotations
@@ -108,14 +109,21 @@ class SimConfig:
 def _parse_value(text: str, default):
     """Parse ``text`` as the type of the field's default value."""
     if isinstance(default, tuple):
-        return tuple(float(p) for p in (s.strip() for s in text.split(",")) if p)
+        items = [item.strip() for item in text.split(",")] if text else []
+        if "" in items:
+            raise ValueError(f"empty list item in {text!r}")
+        return tuple(float(item) for item in items)
     return type(default)(text)
 
 
 def load_config(path) -> SimConfig:
-    """Parse a key = value file into a SimConfig; unknown keys fail loudly."""
+    """Parse a key = value file into a SimConfig.
+
+    An unknown or repeated key, an empty list item or a value of the
+    wrong type raises :class:`ValueError` naming ``path:line``.
+    """
     defaults = {f.name: f.default for f in fields(SimConfig)}
-    values = {}
+    values, first_line = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -127,6 +135,9 @@ def load_config(path) -> SimConfig:
             key = key.strip()
             if key not in defaults:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: {key!r} already set on line {first_line[key]}")
+            first_line[key] = lineno
             try:
                 values[key] = _parse_value(text.strip(), defaults[key])
             except ValueError as exc:

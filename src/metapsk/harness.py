@@ -5,32 +5,31 @@ grid for one or both transmitter modes.  Every trial is a fresh frame
 with its own derived seed, so any point of any sweep can be reproduced
 in isolation and a rerun of the same spec is byte-identical.
 
-A sweep of long frames on a machine with a second CPU draws each
-trial's channel noise one trial ahead in a forked helper process
-(:class:`_NoiseHelper`); the draw depends on the trial's seed alone, so
-the results are the same bytes either way.
+A point runs its trials in blocks (:func:`run_trials`): 1, 2, 4, ...
+frames go through the chain together, up to ``_BLOCK_SAMPLES`` samples
+a block.  Short frames spend most of a trial on numpy's per-call cost,
+which a block pays once; blocks start small so that a point that stops
+after a frame or two computes few trials it drops.  Every frame of a
+block keeps its own seeds and its own per-frame steps, so a trial's
+outcome, and with it every point, is the same whatever block it runs in.
 
-Otherwise a point runs its trials in blocks (:func:`run_trials`): 1, 2,
-4, ... frames go through the chain together, up to ``_BLOCK_SAMPLES``
-samples a block.  Short frames spend most of a trial on numpy's
-per-call cost, which a block pays once; blocks start small so that a
-point that stops after a frame or two computes few trials it drops.
-Every frame of a block keeps its own seeds and its own per-frame steps,
-so a trial's outcome, and with it every point, is the same whatever
-block it runs in.
+On a machine with a second CPU a sweep forks one trial worker
+(:class:`_TrialWorker`) and its blocks go in pairs of one size: the
+sweep's process runs the first block of each pair while the worker runs
+the second, and the stop rule takes their outcomes in trial order.  The
+results are the same bytes either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import functools
 import hashlib
 import itertools
 import json
 import math
-import mmap
 import os
-import select
+import pickle
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import get_type_hints
@@ -38,7 +37,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .baseband import FrameLayout, TxMode, build_frame, synthesize
-from .channel import ChannelConfig, apply_channel, draw_noise, realized_snr_db
+from .channel import ChannelConfig, apply_channel, realized_snr_db
 from .config import SimConfig
 from .receiver import SyncError, measure, receive_frame
 
@@ -105,20 +104,14 @@ def _channel_for(var: SweepVar, value: float, cfg: SimConfig, mode: TxMode) -> C
     return ChannelConfig(snr_db=cfg.rate_sweep_snr_db, **common)
 
 
-def _noise_seed(trial_seed: int) -> int:
-    return derive_seed(trial_seed, "noise")
-
-
-def run_trials(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seeds,
-               draw=draw_noise) -> list:
+def run_trials(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seeds) -> list:
     """A block of frames through the chain, one per trial seed, in order.
 
     Each trial's outcome is its (received frame, link metrics), or the
     :class:`SyncError` its frame raised.  Each frame gets the payload and
     the noise of its own seed, so a trial's outcome does not depend on
     the block it runs in.  Every setting, the symbol rate included, comes
-    from ``cfg``.  ``draw`` gives the channel noise (see
-    :func:`apply_channel`).
+    from ``cfg``.
     """
     layout = cfg.layout()
     payload = np.empty((len(seeds), layout.payload_bits), dtype=np.uint8)
@@ -129,7 +122,7 @@ def run_trials(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seeds,
         frame, mode, cfg.curve(), cfg.rc(), cfg.oversampling,
         phase_offset_deg=cfg.phase_offset_deg, incident_amplitude=cfg.incident_amplitude,
     )
-    rx = apply_channel(wave, channel, [_noise_seed(seed) for seed in seeds], draw)
+    rx = apply_channel(wave, channel, [derive_seed(seed, "noise") for seed in seeds])
     del wave  # a block's sample arrays are freed as soon as they are used: peak memory
     outcomes = receive_frame(rx, layout, cfg.sync_threshold)
     del rx
@@ -141,17 +134,21 @@ def run_trials(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seeds,
     return outcomes
 
 
-def run_trial(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seed: int,
-              draw=draw_noise):
+def run_trial(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seed: int):
     """One frame through the chain: (received frame, link metrics).
 
     The block of :func:`run_trials` with ``seed`` alone.  Raises
     :class:`SyncError` when the receiver finds no frame.
     """
-    (outcome,) = run_trials(mode, cfg, channel, [seed], draw)
+    (outcome,) = run_trials(mode, cfg, channel, [seed])
     if isinstance(outcome, SyncError):
         raise outcome
     return outcome
+
+
+def _link_metrics(outcomes: list) -> list:
+    """Each trial's :class:`LinkMetrics` of :func:`run_trials`' outcomes, or None where sync failed."""
+    return [None if isinstance(outcome, SyncError) else outcome[1] for outcome in outcomes]
 
 
 @dataclass
@@ -183,142 +180,109 @@ class PointResult:
 _BLOCK_SAMPLES = 8 * FrameLayout().total_symbols
 
 
-def _blocks(items, cap: int):
-    """``items`` in consecutive lists of 1, 2, 4, ... up to ``cap`` items."""
+def _blocks(items, cap: int, each: int):
+    """``items`` in consecutive lists of 1, 2, 4, ... up to ``cap`` items, ``each`` lists a size."""
     items, size = iter(items), 1
-    while block := list(itertools.islice(items, size)):
-        yield block
+    while True:
+        for _ in range(each):
+            if not (block := list(itertools.islice(items, size))):
+                return
+            yield block
         size = min(2 * size, cap)
 
 
-# Frames of at least this many samples draw their noise in a helper
-# process.  Measured on a 2-vCPU VM: at 2,400 samples (oversampling 1 at
-# the default frame) the helper gained 5-17 % trials/s for 6-22 % more
-# CPU per trial; at 4,800 and up it gained 7-40 % or more.
-_HELPER_MIN_SAMPLES = 4800
+class _TrialWorker:
+    """A forked process that runs whole blocks of trials for the sweep.
 
+    Requests and replies are pickles on two pipes.  A point's ``(mode,
+    cfg, channel)`` goes over once (:meth:`start_point`), then each
+    request is a block's trial seeds.  Its reply is each trial's
+    :class:`LinkMetrics`, or ``None`` where sync failed, or the exception
+    the block raised, which :meth:`collect` raises.  Replies come back in
+    request order; one that nobody collects (a block still in flight when
+    its point stopped) is read and dropped before a later one is read.
 
-def _use_noise_helper(samples: int) -> bool:
-    """Whether a sweep of ``samples``-sample frames draws its noise in a helper process."""
-    if samples < _HELPER_MIN_SAMPLES or not (hasattr(os, "fork") and hasattr(os, "eventfd")):
-        return False
-    return len(os.sched_getaffinity(0)) >= 2
-
-
-def _cpus_but_this_one() -> set[int]:
-    """The CPUs this process may use, less the one it runs on now if that is known."""
-    cpus = os.sched_getaffinity(0)
-    try:
-        with open("/proc/self/stat") as fh:
-            cpus.discard(int(fh.read().rsplit(")", 1)[1].split()[36]))  # field 39, "processor"
-    except OSError:
-        pass
-    return cpus
-
-
-class _NoiseHelper:
-    """A forked process that draws each trial's channel noise one trial ahead.
-
-    Request r puts its noise seed in seat r % 2 of a shared anonymous
-    mmap and counts up one eventfd; the helper draws the seed's noise
-    with :func:`draw_noise` into slot r % 2 and counts up a second one.
-    The parent makes request r only once it is done with request r - 2's
-    slot, so the helper never writes a slot the parent reads.
-
-    The two must not take turns on one CPU, which the scheduler's
-    wake-up placement otherwise makes them do: the helper is kept off
-    the CPU the parent runs on when it forks, and the two signal each
-    other by eventfd, whose wake-ups, unlike a pipe's, do not ask to run
-    the woken process on the waker's CPU.
-
-    Each side watches a pipe the other holds open: the helper exits when
-    its pipe to the parent closes, and the parent raises if the helper
-    is gone.  :meth:`close` closes the parent's ends and waits for it.
-    The helper runs numpy's generator alone, which takes no lock that a
-    thread of the parent (an idle BLAS pool, say) could hold at the fork.
+    The worker exits when its pipe from the parent closes, and the parent
+    raises :class:`RuntimeError` if the worker is gone.  :meth:`close`
+    closes the parent's ends and waits for the worker, so its CPU time
+    counts in the parent's ``RUSAGE_CHILDREN``.
     """
 
-    def __init__(self, samples: int):
-        self._shared = mmap.mmap(-1, 8 * (2 + 2 * 2 * samples))
-        self._seeds = np.frombuffer(self._shared, dtype=np.uint64, count=2)
-        self._slots = np.frombuffer(self._shared, dtype=np.float64, offset=16).reshape(2, 2 * samples)
-        self._sent = self._received = 0
-        self._requests = os.eventfd(0, os.EFD_SEMAPHORE)
-        self._answers = os.eventfd(0, os.EFD_SEMAPHORE)
-        from_parent, self._to_helper = os.pipe()
-        self._from_helper, to_parent = os.pipe()
-        cpus = _cpus_but_this_one()
+    def __init__(self):
+        requests, to_worker = os.pipe()
+        from_worker, replies = os.pipe()
         try:
-            self._pid = os.fork()
+            self.pid = os.fork()
         except OSError:
-            self._close_fds(from_parent, to_parent)
+            for fd in (requests, to_worker, from_worker, replies):
+                os.close(fd)
             raise
-        if self._pid == 0:
-            os.close(self._to_helper)
-            os.close(self._from_helper)
-            if cpus:
-                os.sched_setaffinity(0, cpus)
-            _serve_noise(self._requests, self._answers, from_parent, self._seeds, self._slots)
-        os.close(from_parent)
-        os.close(to_parent)
+        if self.pid == 0:
+            os.close(to_worker)
+            os.close(from_worker)
+            _serve_trials(requests, replies)
+        os.close(requests)
+        os.close(replies)
+        self._requests = os.fdopen(to_worker, "wb")
+        self._replies = os.fdopen(from_worker, "rb")
+        self._sent = self._received = 0
 
-    def ahead(self, seeds):
-        """``(seed, draw)`` for each trial seed, the next trial's noise drawn meanwhile.
+    def _send(self, message) -> None:
+        try:
+            pickle.dump(message, self._requests, pickle.HIGHEST_PROTOCOL)
+            self._requests.flush()
+        except BrokenPipeError:
+            raise RuntimeError("the trial worker exited") from None
 
-        ``draw`` stands in for :func:`draw_noise` in that trial and may be
-        called until the next pair is taken.
-        """
-        pending = None
-        for seed in seeds:
-            # drawn into the slot of the pair the caller has just finished with
-            request = self._request(seed)
-            if pending is not None:
-                yield pending
-            pending = seed, functools.partial(self._collect, request)
-        if pending is not None:
-            yield pending
+    def start_point(self, mode: TxMode, cfg: SimConfig, channel: ChannelConfig) -> None:
+        """Run the blocks of later requests at this point."""
+        self._send((mode, cfg, channel))
 
-    def _request(self, seed: int) -> int:
-        request = self._sent
-        self._seeds[request % 2] = _noise_seed(seed)
-        os.eventfd_write(self._requests, 1)
+    def submit(self, seeds: list) -> int:
+        """Send a block's trial seeds; returns the request to collect its reply by."""
+        self._send(seeds)
         self._sent += 1
-        return request
+        return self._sent - 1
 
-    def _collect(self, request: int, seed: int, samples: int) -> np.ndarray:
-        """Request ``request``'s normals, once the helper has drawn them."""
-        if seed != self._seeds[request % 2] or 2 * samples != self._slots.shape[1]:
-            raise ValueError(f"request {request} drew another seed or frame size")
+    def collect(self, request: int) -> list:
+        """The outcomes of ``request``, dropping the replies before it."""
         while self._received <= request:
-            ready, _, _ = select.select([self._answers, self._from_helper], [], [])
-            if self._answers not in ready:
-                raise RuntimeError("the noise helper process exited")
-            os.eventfd_read(self._answers)
+            try:
+                reply = pickle.load(self._replies)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError("the trial worker exited") from None
             self._received += 1
-        return self._slots[request % 2]
-
-    def _close_fds(self, *fds: int) -> None:
-        for fd in (self._requests, self._answers, self._to_helper, self._from_helper, *fds):
-            os.close(fd)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
     def close(self) -> None:
-        """Close the parent's ends and wait for the helper to exit."""
-        self._close_fds()
-        os.waitpid(self._pid, 0)
+        """Close the parent's ends and wait for the worker to exit."""
+        with contextlib.suppress(BrokenPipeError):  # a request left unsent to a dead worker
+            self._requests.close()
+        self._replies.close()
+        os.waitpid(self.pid, 0)
 
 
-def _serve_noise(requests: int, answers: int, parent: int,
-                 seeds: np.ndarray, slots: np.ndarray) -> None:
-    """The helper's loop: draw each request's noise into its slot until ``parent`` closes."""
+def _serve_trials(requests: int, replies: int) -> None:
+    """The worker's loop: run each block it is sent until ``requests`` closes."""
     code = 1
     try:
-        for request in itertools.count():
-            ready, _, _ = select.select([requests, parent], [], [])
-            if parent in ready:
-                break
-            os.eventfd_read(requests)
-            draw_noise(int(seeds[request % 2]), slots.shape[1] // 2, out=slots[request % 2])
-            os.eventfd_write(answers, 1)
+        with os.fdopen(requests, "rb") as rx, os.fdopen(replies, "wb") as tx:
+            while True:
+                try:
+                    message = pickle.load(rx)
+                except EOFError:
+                    break
+                if isinstance(message, tuple):
+                    point = message
+                    continue
+                try:
+                    reply = _link_metrics(run_trials(*point, message))
+                except Exception as exc:  # raised again in the parent
+                    reply = exc
+                pickle.dump(reply, tx, pickle.HIGHEST_PROTOCOL)
+                tx.flush()
         code = 0
     finally:
         os._exit(code)
@@ -340,7 +304,7 @@ def _until_stop(outcomes, cfg: SimConfig) -> list:
 
 def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
               master_seed: int, trials: int, paired: bool = False,
-              noise: _NoiseHelper | None = None) -> PointResult:
+              worker: _TrialWorker | None = None) -> PointResult:
     """Measure one sweep point, stopping at the confidence floor.
 
     Four steps: a seed per trial; each trial's outcome, its block run
@@ -358,26 +322,28 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
     Trials run in blocks of 1, 2, 4, ... up to ``_BLOCK_SAMPLES``
     samples (see the module notes), and the stop rule replays each
     block's outcomes in trial order: the trials of a block past the stop
-    are dropped.  ``noise``, when given, draws each trial's channel noise
-    one trial ahead, so each block is one trial; the result is the same
-    either way.
+    are dropped.  With a ``worker`` the blocks go in pairs of one size,
+    1, 1, 2, 2, ..., and the worker runs the second block of each pair
+    while this process runs the first; a block still in flight at the
+    stop is not waited for.  The result is the same either way.
     """
     if var is SweepVar.SYMBOL_RATE:
         cfg = replace(cfg, symbol_rate_hz=value)
     channel = _channel_for(var, value, cfg, mode)
     labels = (var.value, repr(float(value))) if paired else (mode.value, var.value, repr(float(value)))
     seeds = (derive_seed(master_seed, *labels, trial) for trial in range(trials))
-
-    if noise:  # one trial a block, so each block's noise is drawn during the one before
-        blocks = (([seed], draw) for seed, draw in noise.ahead(seeds))
-    else:
-        samples = cfg.layout().total_symbols * cfg.oversampling
-        blocks = ((block, draw_noise) for block in _blocks(seeds, max(1, _BLOCK_SAMPLES // samples)))
+    cap = max(1, _BLOCK_SAMPLES // (cfg.layout().total_symbols * cfg.oversampling))
+    if worker:
+        worker.start_point(mode, cfg, channel)
 
     def outcomes():  # each trial's LinkMetrics, or None where sync failed
-        for block, draw in blocks:
-            for outcome in run_trials(mode, cfg, channel, block, draw):
-                yield None if isinstance(outcome, SyncError) else outcome[1]
+        blocks = _blocks(seeds, cap, 2 if worker else 1)
+        for block in blocks:
+            second = next(blocks, None) if worker else None
+            request = worker.submit(second) if second else None
+            yield from _link_metrics(run_trials(mode, cfg, channel, block))
+            if second:
+                yield from worker.collect(request)
 
     taken = list(outcomes()) if paired else _until_stop(outcomes(), cfg)
 
@@ -409,22 +375,23 @@ def run_sweep(spec: SweepSpec, cfg: SimConfig) -> list[PointResult]:
 
     ``spec.paired`` is :func:`run_point`'s ``paired``: a paired sweep is
     the one way to run both modes over the same payloads and noise.
-    Frames of at least ``_HELPER_MIN_SAMPLES`` samples, on a machine
-    with a second CPU, draw their noise in a helper process, which has
-    exited by the time this returns or raises.
+    When this process may run on two or more CPUs
+    (``os.sched_getaffinity``), a forked trial worker runs every other
+    block of each point; it has exited by the time this returns or
+    raises, so its CPU time is in this process's ``RUSAGE_CHILDREN``.
     """
-    samples = cfg.layout().total_symbols * cfg.oversampling
-    noise = _NoiseHelper(samples) if _use_noise_helper(samples) else None
+    two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    worker = _TrialWorker() if two_cpus else None
     try:
         return [
             run_point(mode, spec.var, value, cfg, spec.master_seed, spec.trials,
-                      paired=spec.paired, noise=noise)
+                      paired=spec.paired, worker=worker)
             for mode in spec.modes
             for value in spec.values
         ]
     finally:
-        if noise is not None:
-            noise.close()
+        if worker is not None:
+            worker.close()
 
 
 # The parsers take only what the writer writes: Python's int() and

@@ -11,7 +11,6 @@ from metapsk.baseband import TxMode, Waveform
 from metapsk.channel import (
     ChannelConfig,
     apply_channel,
-    draw_noise,
     realized_snr_db,
     snr_from_eb_n0_db,
 )
@@ -140,13 +139,6 @@ class TestApplyChannel:
         np.testing.assert_array_equal(a.samples, b.samples)
         c = apply_channel(wave, ChannelConfig(snr_db=5.0), 43)
         assert np.any(c.samples != a.samples)
-
-    def test_noise_drawn_ahead_gives_the_same_bytes(self):
-        wave = unit_wave(1_000)
-        for cfg in (ChannelConfig(snr_db=5.0), ChannelConfig(tx_power_dbm=-40.0)):
-            drawn = draw_noise(42, 1_000)
-            ahead = apply_channel(wave, cfg, 42, lambda seed, samples: drawn)
-            assert ahead.samples.tobytes() == apply_channel(wave, cfg, 42).samples.tobytes()
 
     def test_power_budget_realizes_target_snr(self):
         wave = unit_wave(1_000_000)

@@ -140,6 +140,19 @@ class TestSweep:
         assert code == 1
         assert "unknown key" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("text,message", [
+        ("oversampling = 1\noversampling = 8\n", "bad.cfg:2: 'oversampling' already set on line 1"),
+        ("snr_grid_db = 1, ,2\n", "bad.cfg:1: snr_grid_db: empty list item"),
+    ])
+    def test_repeated_key_and_empty_list_item_reported(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "sweep", "--var", "snr", "--trials", "1",
+                                 "--config", str(bad), "--out", str(tmp_path / "out"))
+        assert (code, out, len(err.splitlines())) == (1, "", 1)
+        assert message in json.loads(err)["error"]
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_value_reported(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"
         for line, message in (
@@ -397,8 +410,10 @@ OVERSAMPLED_SHA256 = {
 
 
 # sha256 of `sweep --var snr --trials 40 --seed 11` artifacts at oversampling
-# 1, where trials run in blocks of 1, 2, 4 and then 8: the points that stop
-# early stop inside a block (after 2 and 6 frames), and the rest run 40.
+# 1, where trials run in blocks of 1, 2, 4 and then 8, or 1, 1, 2, 2, ... with
+# a trial worker: the points that stop early stop after 2 and 6 frames (inside
+# a block of the first schedule, at the end of the worker's block in the
+# second), and the rest run 40.
 BLOCKED_SHA256 = {
     "results.csv": "0f8b055640442b853a6a88cafbb14045a640e95e76c8fb170795913a7245b0bb",
     "manifest.json": "c2533c6b478662366738b110253a2de9cea3eaef732f53cb417e64c25f5657eb",

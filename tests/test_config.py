@@ -110,6 +110,25 @@ class TestParsing:
             with pytest.raises(ValueError, match=message):
                 load_config(path)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("oversampling = 1\n# later\noversampling = 8\n")
+        with pytest.raises(ValueError, match="sim.cfg:3: 'oversampling' already set on line 1"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text", ["1, ,2", "1,,2", ", 1", "1, 2,", ","])
+    def test_empty_list_item_rejected(self, tmp_path, text):
+        path = tmp_path / "sim.cfg"
+        path.write_text(f"snr_grid_db = {text}\n")
+        with pytest.raises(ValueError, match="sim.cfg:1: snr_grid_db: empty list item"):
+            load_config(path)
+
+    def test_empty_list_is_an_empty_tuple(self, tmp_path):
+        """What save_config writes for an empty grid."""
+        path = tmp_path / "sim.cfg"
+        path.write_text("snr_grid_db =\n")
+        assert load_config(path).snr_grid_db == ()
+
     def test_partial_file_keeps_other_defaults(self, tmp_path):
         path = tmp_path / "sim.cfg"
         path.write_text("oversampling = 2\nsnr_grid_db = 3\n")

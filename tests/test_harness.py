@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import signal
 import tempfile
 import time
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from metapsk import harness
 from metapsk.baseband import TxMode
-from metapsk.channel import ChannelConfig, draw_noise
+from metapsk.channel import ChannelConfig
 from metapsk.cli import main
 from metapsk.config import SimConfig
 from metapsk.receiver import LinkMetrics, SyncError
@@ -186,7 +187,7 @@ class TestPointRow:
         frames = [_metrics(10, 1, 1e8, 0.0), *(_metrics(10, 1, 1.0, -160.0) for _ in range(16))]
         outcomes = iter([*frames[:5], None, *frames[5:]])
 
-        def trials(mode, cfg, channel, seeds, draw):
+        def trials(mode, cfg, channel, seeds):
             return [SyncError("no frame") if m is None else (None, m)
                     for m in itertools.islice(outcomes, len(seeds))]
 
@@ -336,93 +337,171 @@ def _exit_code(pid, timeout_s=10.0):
     pytest.fail(f"process {pid} still ran after {timeout_s} s")
 
 
-class TestNoiseHelper:
-    """Noise drawn one trial ahead in a helper process gives the serial bytes."""
+def _timed_out(signum, frame):
+    raise TimeoutError("the sweep hung")
+
+
+def _cpus(monkeypatch, cpus):
+    """Fake the CPUs this process may run on: two or more fork a trial worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+class _SpiedWorker(harness._TrialWorker):
+    """A trial worker that records itself and the requests it was sent."""
+
+    made = []
+
+    def __init__(self):
+        super().__init__()
+        self.made.append(self)
+
+    def close(self):
+        self.requests = self._sent
+        super().close()
+
+
+class _KilledWorker(_SpiedWorker):
+    """A trial worker killed before its first request: that request finds no reader."""
+
+    def __init__(self):
+        super().__init__()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)  # dead, and left for close() to reap
+
+
+@pytest.fixture
+def spied_worker(monkeypatch):
+    monkeypatch.setattr(_SpiedWorker, "made", [])
+    monkeypatch.setattr(harness, "_TrialWorker", _SpiedWorker)
+    return _SpiedWorker
+
+
+def _failing_on(monkeypatch, seed):
+    """``run_trials`` raises, naming the process, on a block holding trial ``seed``."""
+    run_trials = harness.run_trials
+
+    def trials(mode, cfg, channel, seeds):
+        if seed in seeds:
+            raise ValueError(f"trial {seed} failed in process {os.getpid()}")
+        return run_trials(mode, cfg, channel, seeds)
+
+    monkeypatch.setattr(harness, "run_trials", trials)
+
+
+class TestTrialWorker:
+    """Blocks run in a forked trial worker give the bytes of blocks run in-process."""
+
+    # three conventional trials at 30 dB, none of which stops the point
+    spec = SweepSpec(SweepVar.SNR, (30.0,), trials=3, modes=(TxMode.CONVENTIONAL,))
+
+    def seed_of(self, trial):
+        return derive_seed(self.spec.master_seed, TxMode.CONVENTIONAL.value, SweepVar.SNR.value,
+                           repr(30.0), trial)
 
     @pytest.mark.parametrize("ovs,argv", [
         # low powers stop after a frame or two, high ones run the budget
         (8, ["--var", "power", "--values", "-40", "-36", "-24", "--trials", "4"]),
         (8, ["--var", "rate", "--values", "512000", "4096000", "--trials", "3", "--paired"]),
         (32, ["--var", "snr", "--values", "16", "--trials", "3"]),
+        # BLOCKED_SHA256's sweep: points stop after 2 and 6 frames, the rest run 40
+        (1, ["--var", "snr", "--trials", "40", "--seed", "11"]),
+        (2, ["--var", "power", "--trials", "12"]),
     ])
-    def test_both_paths_write_the_same_bytes(self, capsys, monkeypatch, tmp_path, ovs, argv):
+    def test_both_paths_write_the_same_bytes(self, capsys, monkeypatch, tmp_path, spied_worker,
+                                             ovs, argv):
         cfg = tmp_path / "ovs.cfg"
         cfg.write_text(f"oversampling = {ovs}\n")
         artifacts = {}
-        for helper in (False, True):
-            monkeypatch.setattr(harness, "_use_noise_helper", lambda samples: helper)
-            out = tmp_path / str(helper)
+        for cpus in ((0,), (0, 1)):
+            _cpus(monkeypatch, cpus)
+            out = tmp_path / str(len(cpus))
             assert main(["sweep", *argv, "--config", str(cfg), "--out", str(out)]) == 0
-            artifacts[helper] = [(out / name).read_bytes() for name in ("results.csv", "manifest.json")]
+            artifacts[cpus] = [(out / name).read_bytes() for name in ("results.csv", "manifest.json")]
         capsys.readouterr()
-        assert artifacts[True] == artifacts[False]
-        if argv[1] == "power":
-            frames = [p.frames + p.sync_failures for p in read_results_csv(tmp_path / "True" / "results.csv")]
+        assert artifacts[(0, 1)] == artifacts[(0,)]
+        (worker,) = spied_worker.made
+        assert worker.requests > 0
+        if argv[1] == "power" and ovs == 8:
+            frames = [p.frames + p.sync_failures for p in read_results_csv(tmp_path / "2" / "results.csv")]
             assert min(frames) < 4 and max(frames) == 4  # early stops and full points both ran
 
-    def test_long_frames_use_the_helper_on_two_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert harness._use_noise_helper(8 * 2400)
-        assert not harness._use_noise_helper(2400)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert not harness._use_noise_helper(8 * 2400)
+    def test_a_worker_only_on_two_cpus(self, monkeypatch, spied_worker):
+        _cpus(monkeypatch, {0})
+        run_sweep(self.spec, fast_cfg())
+        assert spied_worker.made == []
+        _cpus(monkeypatch, {2, 5})
+        run_sweep(self.spec, fast_cfg())
+        assert len(spied_worker.made) == 1
 
-    def test_helper_draws_each_seed_in_order(self):
-        def drawn(pairs):
-            return [draw(harness._noise_seed(seed), 100).tobytes() for seed, draw in pairs]
+    @pytest.mark.parametrize("trial,where", [(0, "parent"), (1, "worker")])
+    def test_no_process_outlives_the_sweep(self, monkeypatch, spied_worker, trial, where):
+        _cpus(monkeypatch, {0, 1})
+        run_sweep(self.spec, fast_cfg())
+        _no_child_left()
+        # blocks 1, 1, 2, ...: trial 0 runs in this process, trial 1 in the worker
+        _failing_on(monkeypatch, self.seed_of(trial))
+        with pytest.raises(ValueError, match=f"trial {self.seed_of(trial)} failed") as raised:
+            run_sweep(self.spec, fast_cfg())
+        pid = int(str(raised.value).rsplit(" ", 1)[1])
+        assert pid == (os.getpid() if where == "parent" else spied_worker.made[-1].pid)
+        _no_child_left()
 
-        helper = harness._NoiseHelper(100)
+    @pytest.mark.parametrize("when", ["before_its_first_block", "during_the_sweep"])
+    def test_parent_raises_when_the_worker_is_killed(self, monkeypatch, spied_worker, when):
+        parent, run_trials = os.getpid(), harness.run_trials
+
+        def trials(mode, cfg, channel, seeds):
+            if os.getpid() == parent and self.seed_of(0) in seeds:  # trial 0 runs in this process
+                os.kill(spied_worker.made[-1].pid, signal.SIGKILL)
+            return run_trials(mode, cfg, channel, seeds)
+
+        if when == "before_its_first_block":
+            monkeypatch.setattr(harness, "_TrialWorker", _KilledWorker)
+        else:  # blocks 1, 1, 2, 2: the worker runs trial 1, then trials 4 and 5
+            monkeypatch.setattr(harness, "run_trials", trials)
+        _cpus(monkeypatch, {0, 1})
+        signal.signal(signal.SIGALRM, _timed_out)
+        signal.alarm(30)
         try:
-            seeds = [5, 6, 7, 5]
-            expected = [draw_noise(harness._noise_seed(seed), 100).tobytes() for seed in seeds]
-            assert drawn(helper.ahead(seeds)) == expected
-            # an abandoned stream leaves a request behind; the next one skips it
-            next(helper.ahead([1, 2]))
-            assert drawn(helper.ahead(seeds[:1])) == expected[:1]
-            seed, draw = next(helper.ahead([8]))
-            with pytest.raises(ValueError, match="another seed or frame size"):
-                draw(harness._noise_seed(seed), 99)
+            with pytest.raises(RuntimeError, match="trial worker exited"):
+                run_sweep(replace(self.spec, trials=6), fast_cfg())
         finally:
-            helper.close()
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
         _no_child_left()
 
-    def test_no_process_outlives_the_sweep(self, monkeypatch):
-        monkeypatch.setattr(harness, "_use_noise_helper", lambda samples: True)
-        spec = SweepSpec(SweepVar.SNR, (30.0,), trials=3, modes=(TxMode.CONVENTIONAL,))
-        run_sweep(spec, fast_cfg())
-        _no_child_left()
+    def test_worker_exits_when_its_pipe_from_the_parent_closes(self):
+        worker = harness._TrialWorker()
+        worker._requests.close()
+        assert _exit_code(worker.pid) == 0
+        worker._replies.close()
 
-        calls = []
+    def test_worker_cpu_counts_as_the_sweeps_children(self, monkeypatch):
+        _cpus(monkeypatch, {0, 1})
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        run_sweep(replace(self.spec, trials=200), fast_cfg())
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert after.ru_utime + after.ru_stime > before.ru_utime + before.ru_stime
+        assert after.ru_maxrss > 0
 
-        def failing(*args):
-            calls.append(1)
-            if len(calls) == 2:
-                raise RuntimeError("trial failed")
-            return receive_frame(*args)
+    def test_a_dropped_reply_is_never_the_next_points(self):
+        cfg = fast_cfg()
 
-        receive_frame = harness.receive_frame
-        monkeypatch.setattr(harness, "receive_frame", failing)
-        with pytest.raises(RuntimeError, match="trial failed"):
-            run_sweep(spec, fast_cfg())
-        _no_child_left()
+        def point(snr_db, worker=None):
+            return run_point(TxMode.CONVENTIONAL, SweepVar.SNR, snr_db, cfg, master_seed=11,
+                             trials=12, worker=worker)
 
-    def test_helper_exits_when_its_pipe_to_the_parent_closes(self):
-        helper = harness._NoiseHelper(100)
-        os.close(helper._to_helper)
-        assert _exit_code(helper._pid) == 0
-        for fd in (helper._requests, helper._answers, helper._from_helper):
-            os.close(fd)
-
-    def test_parent_raises_when_the_helper_is_gone(self):
-        helper = harness._NoiseHelper(100)
-        os.kill(helper._pid, signal.SIGKILL)
+        worker = harness._TrialWorker()
         try:
-            seed, draw = next(helper.ahead([1]))
-            with pytest.raises(RuntimeError, match="helper process exited"):
-                draw(harness._noise_seed(seed), 100)
+            early = point(4.0, worker)
+            # stopped after trial 0, its own block, with trial 1 in flight in the worker
+            assert (early.frames, worker._sent, worker._received) == (1, 1, 0)
+            full = point(30.0, worker)
+            assert (full.frames, worker._received) == (12, worker._sent)
         finally:
-            helper.close()
+            worker.close()
         _no_child_left()
+        assert (early, full) == (point(4.0), point(30.0))
 
 
 # an error rate as a results.csv row holds it: in [0, 1], or NaN where no frame passed sync

@@ -1,0 +1,200 @@
+"""Alternating parent/change pairs of perfbench runs, summarized into a BENCH_<pr>.json.
+
+    python3 tools/bench_pairs.py --parent <rev> --pr 16 --pairs 10 --seed-base 3000 \\
+        --claim anchor_os1 trials_per_s 1.3 --change-note "..."
+
+Each side runs from its own copy in a temporary directory: a git revision
+is exported with `git archive`, and `--change .` (the default) copies
+the working tree's tracked and untracked, not ignored, files.  Pair i
+uses seed base+i; even pairs run the parent first, odd pairs the change.
+Every run is `python3 perfbench/run.py --workload <w> --seed <s>
+--seconds <S> --trace 0`.  Quartiles are
+`statistics.quantiles(method="inclusive")`.
+
+After the pairs, one untimed sweep per workload and side, in a fresh
+process, reads `ru_maxrss` of `RUSAGE_SELF` and of `RUSAGE_CHILDREN`:
+perfbench's `peak_rss_mb` does not see a sweep's child processes.
+
+With `--merge-into FILE` the series is appended to FILE's `other_runs`
+under `--note` instead of written as a new file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shlex
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+RUN = "python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds} --trace 0"
+PROTOCOL = ("pairs per workload, parent and change run from separate checkouts; even pairs run "
+            "the parent first, odd pairs the change first; pair i uses seed base+i; quartiles by "
+            "statistics.quantiles(method='inclusive')")
+
+# One sweep of a workload's full size in this process, then the peak RSS
+# of this process and of its reaped children, in MB.
+CHILD_RSS = """
+import json, resource, sys
+sys.path[:0] = ["perfbench", "src"]
+from workloads import WORKLOADS
+from metapsk.cli import main
+import contextlib, io, tempfile
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    assert main(WORKLOADS[sys.argv[1]].sweep_argv("full", 0, out)) == 0
+print(json.dumps({who: resource.getrusage(getattr(resource, who)).ru_maxrss / 1024.0
+                  for who in ("RUSAGE_SELF", "RUSAGE_CHILDREN")}))
+"""
+
+
+def checkout(rev: str, into: Path) -> Path:
+    into.mkdir()
+    if rev == ".":
+        files = subprocess.run(["git", "ls-files", "-co", "--exclude-standard", "-z"], cwd=ROOT,
+                               check=True, capture_output=True).stdout.split(b"\0")
+        for name in filter(None, files):
+            src, dst = ROOT / os.fsdecode(name), into / os.fsdecode(name)
+            if src.is_file():
+                dst.parent.mkdir(parents=True, exist_ok=True)
+                dst.write_bytes(src.read_bytes())
+    else:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return into
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"correct": False, "error": proc.stderr.strip().splitlines()[-1:]}
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    side_files = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0-full"
+    walls = json.loads((side_files / "metrics.json").read_text())["sweep_walls_s"]["untraced"]
+    return {"correct": result["correct"],
+            **{name: m["value"] for name, m in result["metrics"].items()},
+            "sweep_walls_s": walls}
+
+
+def children_rss(tree: Path, workload: str) -> dict:
+    out = subprocess.run([sys.executable, "-c", CHILD_RSS, workload], cwd=tree, check=True,
+                         capture_output=True, text=True, env={**os.environ, **THREADS}).stdout
+    rss = json.loads(out)
+    return {"self_maxrss_mb": rss["RUSAGE_SELF"], "children_maxrss_mb": rss["RUSAGE_CHILDREN"]}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(pairs: list[dict], declared: list[dict]) -> dict:
+    summary = {}
+    for metric in declared:
+        name, higher = metric["name"], metric["better"] == "higher"
+        got = [(p["parent"].get(name), p["change"].get(name)) for p in pairs]
+        got = [(a, b) for a, b in got if a is not None and b is not None]
+        if not got:
+            continue
+        parent, change = quartiles([a for a, _ in got]), quartiles([b for _, b in got])
+        summary[name] = {
+            "better": metric["better"],
+            "parent": parent,
+            "change": change,
+            "median_ratio": change["median"] / parent["median"] if parent["median"] else None,
+            "change_wins": sum((b > a) if higher else (b < a) for a, b in got),
+            "pairs": len(got),
+            "median_gap_exceeds_parent_iqr":
+                abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"],
+        }
+    return summary
+
+
+def environment() -> dict:
+    import numpy
+    import scipy
+
+    cpu = next((line.split(":", 1)[1].strip() for line in open("/proc/cpuinfo")
+                if line.startswith("model name")), platform.processor())
+    return {"host": platform.node(), "nproc": len(os.sched_getaffinity(0)), "cpu": cpu,
+            "platform": platform.platform(), "python": platform.python_version(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__, "thread_env": THREADS}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--change", default=".", help="git revision, or . for the working tree")
+    parser.add_argument("--pr", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed-base", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--workloads", nargs="+")
+    parser.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "METRIC", "RATIO"))
+    parser.add_argument("--change-note", default="")
+    parser.add_argument("--merge-into", type=Path)
+    parser.add_argument("--note", default="")
+    parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the repository root")
+    args = parser.parse_args(argv)
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = args.workloads or [w["name"] for w in declared["workloads"]]
+    parent_commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
+                                   capture_output=True, text=True).stdout.strip()
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"parent": checkout(args.parent, Path(tmp) / "parent"),
+                 "change": checkout(args.change, Path(tmp) / "change")}
+        for workload in workloads:
+            pairs = []
+            for i in range(args.pairs):
+                seed = args.seed_base + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run(trees[side], workload, seed, args.seconds)
+                    print(workload, seed, side, json.dumps(pair[side]), file=sys.stderr)
+                pairs.append(pair)
+            results[workload] = {
+                "all_runs_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
+                "summary": summarize(pairs, declared["end_to_end"]),
+                "pairs": pairs,
+                "memory": {side: children_rss(tree, workload) for side, tree in trees.items()},
+            }
+
+    series = {"script": shlex.join(["python3", "tools/bench_pairs.py", *sys.argv[1:]]),
+              "workloads": results}
+    if args.merge_into:
+        bench = json.loads(args.merge_into.read_text())
+        bench["other_runs"].append({"note": args.note, **series})
+        args.merge_into.write_text(json.dumps(bench, indent=1) + "\n")
+        return 0
+    bench = {"change": args.change_note, "parent_commit": parent_commit,
+             "command": RUN.format(seconds=args.seconds), "protocol": PROTOCOL,
+             "environment": environment()}
+    if args.claim:
+        workload, metric, ratio = args.claim
+        s = results[workload]["summary"][metric]
+        bench["claim"] = {"workload": workload, "metric": metric, "target_ratio": float(ratio),
+                          "median_ratio": s["median_ratio"], "change_wins": s["change_wins"],
+                          "pairs": s["pairs"],
+                          "median_gap_exceeds_parent_iqr": s["median_gap_exceeds_parent_iqr"]}
+        bench["claim"]["met"] = (s["median_ratio"] >= float(ratio)
+                                 and s["change_wins"] >= 0.9 * s["pairs"]
+                                 and s["median_gap_exceeds_parent_iqr"])
+    bench.update(series, other_runs=[])
+    (args.out or ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(bench, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
