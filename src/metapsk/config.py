@@ -10,6 +10,7 @@ empty.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, fields
 
@@ -116,15 +117,28 @@ def _parse_value(text: str, default):
     return type(default)(text)
 
 
+def open_utf8(path, newline=None) -> io.StringIO:
+    """The text of ``path`` as a stream that reads like ``open(path,
+    newline=newline)``; bytes that are not UTF-8 raise :class:`ValueError`
+    naming ``path``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+
+
 def load_config(path) -> SimConfig:
     """Parse a key = value file into a SimConfig.
 
-    An unknown or repeated key, an empty list item or a value of the
-    wrong type raises :class:`ValueError` naming ``path:line``.
+    A file that is not UTF-8, an unknown or repeated key, an empty list
+    item or a value of the wrong type raises :class:`ValueError` naming
+    ``path`` (and the line, where there is one).
     """
     defaults = {f.name: f.default for f in fields(SimConfig)}
     values, first_line = {}, {}
-    with open(path) as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

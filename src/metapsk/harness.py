@@ -38,7 +38,7 @@ import numpy as np
 
 from .baseband import FrameLayout, TxMode, build_frame, synthesize
 from .channel import ChannelConfig, apply_channel, realized_snr_db
-from .config import SimConfig
+from .config import SimConfig, open_utf8
 from .receiver import SyncError, measure, receive_frame
 
 SWEEP_RESULTS_NAME = "results.csv"
@@ -415,6 +415,20 @@ def _parse_float(text: str) -> float:
     return float(text)
 
 
+def _parse_finite(text: str) -> float:
+    value = _parse_float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _parse_positive(text: str) -> float:
+    value = _parse_finite(text)
+    if not value > 0.0:
+        raise ValueError(f"{text!r} is not positive")
+    return value
+
+
 def _parse_rate(text: str) -> float:
     rate = _parse_float(text)
     if not (math.isnan(rate) or 0.0 <= rate <= 1.0):  # NaN: no frame passed sync
@@ -432,9 +446,18 @@ _CSV_CODECS = {
     int: (str, _parse_count),
     bool: (lambda x: "1" if x else "0", _parse_flag),
 }
-# column name -> (format, parse), in PointResult's field order
+# column name -> (format, parse), in PointResult's field order; where a
+# sweep writes only finite numbers (or rates in [0, 1]), the parser
+# refuses the rest
 _CSV_COLUMNS = {name: _CSV_CODECS[kind] for name, kind in get_type_hints(PointResult).items()}
-_CSV_COLUMNS["ber"] = _CSV_COLUMNS["ser"] = (_CSV_CODECS[float][0], _parse_rate)
+_format_float = _CSV_CODECS[float][0]
+_CSV_COLUMNS.update(
+    value=(_format_float, _parse_finite),
+    symbol_rate_hz=(_format_float, _parse_positive),
+    tx_power_dbm=(_CSV_CODECS[float | None][0], lambda s: _parse_finite(s) if s else None),
+    ber=(_format_float, _parse_rate),
+    ser=(_format_float, _parse_rate),
+)
 
 
 def write_results_csv(path, results: list[PointResult]) -> None:
@@ -449,12 +472,15 @@ def write_results_csv(path, results: list[PointResult]) -> None:
 def read_results_csv(path) -> list[PointResult]:
     """The rows of a ``results.csv``.
 
+    A file that is not UTF-8 raises :class:`ValueError` naming ``path``.
     A missing column, a short row or a field the writer would not have
     written (a negative count, spaces or digit underscores in a number,
-    a ``ber`` or ``ser`` outside [0, 1] that is not NaN) raises
-    :class:`ValueError` naming ``path:line`` and the column.
+    a non-finite ``value`` or ``tx_power_dbm``, a ``symbol_rate_hz``
+    that is not finite and positive, a ``ber`` or ``ser`` outside
+    [0, 1] that is not NaN) raises :class:`ValueError` naming
+    ``path:line`` and the column.
     """
-    with open(path, newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [name for name in _CSV_COLUMNS if name not in (reader.fieldnames or ())]
         if missing:

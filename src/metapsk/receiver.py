@@ -16,13 +16,12 @@ ignores and the complex gain estimate takes up.
 Synchronization has two paths.  When the search window admits exactly
 one lag, as in every sweep (the channel adds no delay, so the frame can
 only start at sample 0), the peak is that lag's normalized dot product.
-A window of several lags is correlated at all lags at once by FFT
-(``scipy.signal.fftconvolve``, imported on the first such window, so the
-one-lag path loads numpy alone).  The frame constants the receiver
-compares against (the sync reference and its norm, the training and
-pilot references and their energies, the mid-symbol offsets) are built
-once per frame format and shared.  Bit errors are counted from the
-symbol decisions, each adding its Gray distance to the sent symbol.
+A window of several lags is correlated at all lags at once by FFT.  The
+frame constants the receiver compares against (the sync reference and
+its norm, the training and pilot references and their energies, the
+mid-symbol offsets) are built once per frame format and shared.  Bit
+errors are counted from the symbol decisions, each adding its Gray
+distance to the sent symbol.
 """
 
 from __future__ import annotations
@@ -50,11 +49,12 @@ from .baseband import (
 SYNC_THRESHOLD_DEFAULT = 0.5
 
 
-def fftconvolve(in1, in2, mode="full"):
-    """``scipy.signal.fftconvolve``, imported on the first call."""
-    from scipy.signal import fftconvolve as scipy_fftconvolve
-
-    return scipy_fftconvolve(in1, in2, mode=mode)
+def fftconvolve(in1, in2):
+    """``np.convolve(in1, in2, "valid")`` for ``in2`` no longer than
+    ``in1``, by FFT at the least power of two >= ``in1.size``.  The
+    circular wrap reaches only the leading lags that "valid" drops."""
+    n = 1 << (in1.size - 1).bit_length()
+    return np.fft.ifft(np.fft.fft(in1, n) * np.fft.fft(in2, n))[in2.size - 1 : in1.size]
 
 
 class SyncError(RuntimeError):
@@ -135,7 +135,7 @@ def synchronize(
         energy = np.vdot(r, r).real
         best = abs(np.vdot(ref, r)) / (math.sqrt(energy) * ref_norm) if energy > 0.0 else 0.0
     else:
-        num = np.abs(fftconvolve(r, np.conj(ref[::-1]), mode="valid"))
+        num = np.abs(fftconvolve(r, np.conj(ref[::-1])))
         csum = np.concatenate([[0.0], np.cumsum(np.abs(r) ** 2)])
         window_energy = np.maximum(csum[ref.size:] - csum[: r.size - ref.size + 1], 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -186,6 +186,19 @@ class TestSweep:
             assert len(err.splitlines()) == 1, line
             assert message in json.loads(err)["error"], line
 
+    def test_file_that_is_not_utf8_reported(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"oversampling = 1  # \xff\n")
+        results = tmp_path / "results.csv"
+        write_results_csv(results, loglinear_curve(TxMode.METASURFACE, 0.0))
+        results.write_bytes(results.read_bytes() + b"\xff\n")
+        for argv, path in ((["sweep", "--var", "snr", "--trials", "1", "--config", str(bad),
+                             "--out", str(tmp_path / "out")], bad),
+                           (["compare", str(results)], results)):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, len(err.splitlines())) == (1, "", 1)
+            assert json.loads(err)["error"].startswith(f"{path}: byte ")
+
 
 class TestCompare:
     def test_recovers_synthetic_shift(self, capsys, tmp_path):
@@ -252,6 +265,10 @@ class TestCompare:
             bad_flag = tmp_path / f"flag_{flag}.csv"
             bad_flag.write_text("\n".join([*lines[:2], lines[2].rsplit(",", 1)[0] + "," + flag]) + "\n")
             cases.append((bad_flag, ":3: column 'low_confidence'"))
+        nan_value = tmp_path / "nan_value.csv"  # once a JSON error that named no file
+        mode, var, _, rest = lines[2].split(",", 3)
+        nan_value.write_text("\n".join([*lines[:2], f"{mode},{var},nan,{rest}"]) + "\n")
+        cases.append((nan_value, ":3: column 'value'"))
         for path, where in cases:
             code, out, err = run_cli(capsys, "compare", str(path))
             assert code == 1

@@ -123,6 +123,12 @@ class TestParsing:
         with pytest.raises(ValueError, match="sim.cfg:1: snr_grid_db: empty list item"):
             load_config(path)
 
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_bytes("tau_s = 1e-08  # café\n".encode("latin-1"))
+        with pytest.raises(ValueError, match=f"^{path}: byte 20 is not UTF-8"):
+            load_config(path)
+
     def test_empty_list_is_an_empty_tuple(self, tmp_path):
         """What save_config writes for an empty grid."""
         path = tmp_path / "sim.cfg"

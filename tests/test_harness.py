@@ -506,6 +506,7 @@ class TestTrialWorker:
 
 # an error rate as a results.csv row holds it: in [0, 1], or NaN where no frame passed sync
 _rate = st.just(math.nan) | st.floats(0.0, 1.0)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestResultsTable:
@@ -544,8 +545,8 @@ class TestResultsTable:
     @given(results=st.lists(st.builds(
         PointResult,
         mode=st.sampled_from(TxMode), sweep_var=st.sampled_from(SweepVar),
-        value=st.floats(), symbol_rate_hz=st.floats(), snr_db=st.floats(),
-        tx_power_dbm=st.none() | st.floats(), ber=_rate, ser=_rate,
+        value=_finite, symbol_rate_hz=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        snr_db=st.floats(), tx_power_dbm=st.none() | _finite, ber=_rate, ser=_rate,
         evm_rms_pct=st.floats(), est_snr_db=st.floats(),
         bits=st.integers(0, 2**63), bit_errors=st.integers(0, 2**63),
         frames=st.integers(0, 2**31), sync_failures=st.integers(0, 2**31),
@@ -567,10 +568,13 @@ class TestResultsTable:
         ("bits", " 1_000 "), ("bits", "1_000"), ("bits", " 6912"), ("bit_errors", "-3"),
         ("frames", "+1"), ("sync_failures", "1.0"), ("ber", "1_0"), ("ber", " 0.5"), ("ber", "1.5"),
         ("ser", "-0.25"), ("ser", "inf"), ("evm_rms_pct", "1_0.0"), ("snr_db", "12.0 "),
-        ("tx_power_dbm", " -30.0"),
+        ("tx_power_dbm", " -30.0"), ("value", "nan"), ("value", "inf"), ("value", "-inf"),
+        ("symbol_rate_hz", "nan"), ("symbol_rate_hz", "inf"), ("symbol_rate_hz", "0.0"),
+        ("symbol_rate_hz", "-2048000.0"), ("tx_power_dbm", "-inf"), ("tx_power_dbm", "nan"),
     ])
     def test_text_the_writer_never_writes_is_refused(self, tmp_path, column, text):
-        """Python's int() and float() take spaces and digit underscores; the reader does not."""
+        """Python's int() and float() take spaces, digit underscores and
+        non-finite numbers a sweep never writes; the reader does not."""
         path = tmp_path / "results.csv"
         write_results_csv(path, [synthetic_point(TxMode.CONVENTIONAL, 10.0, 0.01, SweepVar.TX_POWER)])
         header, row = path.read_text().splitlines()
@@ -578,6 +582,13 @@ class TestResultsTable:
         fields[column] = text
         path.write_text(header + "\n" + ",".join(fields.values()) + "\n")
         with pytest.raises(ValueError, match=f"^{path}:2: column '{column}': "):
+            read_results_csv(path)
+
+    def test_file_that_is_not_utf8_is_refused(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_results_csv(path, [synthetic_point(TxMode.CONVENTIONAL, 10.0, 0.01)])
+        path.write_bytes(path.read_bytes().replace(b"conventional", b"conventional\xff"))
+        with pytest.raises(ValueError, match=f"^{path}: byte [0-9]+ is not UTF-8"):
             read_results_csv(path)
 
     def test_power_sweep_records_tx_power(self, tmp_path):

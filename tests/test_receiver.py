@@ -178,6 +178,35 @@ class TestSyncPaths:
             synchronize(replace(wave, samples=samples), sync_symbols(64), max_start=max_start)
 
 
+# sizes at which an FFT length or the "valid" slice could be off by one
+_EDGE_SIZES = sorted({(1 << k) + d for k in range(12) for d in (-1, 0, 1)} - {0})
+
+
+@st.composite
+def _convolve_sizes(draw):
+    """(len(a), len(b)) with 1 <= len(b) <= len(a): equal, one apart and
+    powers of two +- 1 among them."""
+    n = draw(st.sampled_from(_EDGE_SIZES) | st.integers(1, 3000))
+    m = draw(st.sampled_from([n, max(n - 1, 1), *(k for k in _EDGE_SIZES if k <= n)])
+             | st.integers(1, n))
+    return n, m
+
+
+class TestFftconvolve:
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=_convolve_sizes(), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    def test_equals_direct_valid_convolution(self, sizes, seed, scale):
+        """Within 1e-12 of |a| |b|, which bounds every lag's magnitude."""
+        rng = np.random.default_rng(seed)
+        a, b = (scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k)) for k in sizes)
+        got = receiver.fftconvolve(a, b)
+        want = np.convolve(a, b, "valid")
+        assert got.shape == want.shape == (sizes[0] - sizes[1] + 1,)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-12 * np.linalg.norm(a) * np.linalg.norm(b))
+
+
 class TestEstimateChannel:
     def test_identity(self):
         ref = constellation()[pilot_symbols(32)]

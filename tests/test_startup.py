@@ -1,12 +1,10 @@
-"""Process-level costs: sweeps run with scipy unimportable, and trials
-do not fault their arrays in anew.
+"""Process-level costs: every path runs with scipy unimportable, and
+trials do not fault their arrays in anew.
 
-Importing ``scipy.signal`` takes over a second, most of a short run's
-start-up.  The bias lag is numpy-only, so a sweep never needs it; the one
-remaining user is a sync window of several lags (``fftconvolve``), which
-imports it on first use.  The probes run in fresh interpreters, since
-the test process itself has scipy loaded; the first blocks scipy
-outright: ``sys.modules["scipy"] = None`` makes every scipy import raise.
+numpy is the only runtime dependency; scipy is a test oracle alone.  The
+probes run in fresh interpreters, since the test process itself has
+scipy loaded; the first blocks scipy outright:
+``sys.modules["scipy"] = None`` makes every scipy import raise.
 """
 
 import json
@@ -25,8 +23,11 @@ from metapsk.surface import SurfaceGeometry, speed_of_light
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 PROBE = textwrap.dedent("""
+    import contextlib
+    import io
     import json
     import sys
+    import tempfile
 
     sys.modules["scipy"] = None  # every scipy import now raises ImportError
 
@@ -49,12 +50,20 @@ PROBE = textwrap.dedent("""
                       SimConfig(tau_s=1e-6))
     harness.hardware_counts(256, TxMode.CONVENTIONAL)
     surface.array_factor(cfg.geometry(), cfg.cell_amplitude, [0.0, 10.0, 20.0], 0.0)
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["sweep", "--var", "power", "--values", "-30", "-20", "--trials", "2",
+                      "--out", out],
+                     ["compare", f"{out}/results.csv"],
+                     ["constellation", "--out", f"{out}/iq.csv"],
+                     ["pattern", "--theta-step", "10", "--out", f"{out}/af.csv"],
+                     ["hw-count"]):
+            assert metapsk.cli.main(argv) == 0, argv
 
-    del sys.modules["scipy"]  # lift the block
     sync = sync_symbols(cfg.sync_len)
     padded = Waveform(np.concatenate([np.zeros(5), constellation()[sync]]), 1)
     start = receiver.synchronize(padded, sync).frame_start
-    scipy_modules = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+    scipy_modules = sorted(m for m, module in sys.modules.items()
+                           if module is not None and m.partition(".")[0] == "scipy")
     print(json.dumps({"start": start, "scipy_modules": scipy_modules}))
 """)
 
@@ -64,9 +73,8 @@ def test_numpy_only_paths_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    # A multi-lag sync window is the one remaining user.
-    assert loaded["start"] == 5
-    assert "scipy.signal" in loaded["scipy_modules"]
+    assert loaded["start"] == 5  # a multi-lag sync window
+    assert loaded["scipy_modules"] == []
 
 
 HEAP_PROBE = textwrap.dedent("""
