@@ -98,15 +98,29 @@ def mean_power(samples: np.ndarray):
     return float(means) if power.ndim == 1 else means
 
 
+class _ArrayKey(tuple):
+    """An array argument of a :func:`_frozen` function by value: (dtype, shape, bytes)."""
+
+
 def _frozen(fn):
-    """Memoize ``fn`` and make the arrays it returns read-only, so callers can share them."""
+    """Memoize ``fn`` and make the arrays it returns, alone or in a tuple,
+    read-only, so callers can share them.  An array argument is keyed by
+    value, so one changed in place is not served stale; ``fn`` gets a
+    read-only copy of it."""
     @lru_cache(maxsize=64)
-    @wraps(fn)
     def cached(*args, **kwargs):
-        out = fn(*args, **kwargs)
-        out.flags.writeable = False
+        out = fn(*(np.frombuffer(a[2], a[0]).reshape(a[1]) if type(a) is _ArrayKey else a for a in args),
+                 **kwargs)
+        for array in out if isinstance(out, tuple) else (out,):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
         return out
-    return cached
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        return cached(*(_ArrayKey((a.dtype.str, a.shape, a.tobytes())) if isinstance(a, np.ndarray) else a
+                        for a in args), **kwargs)
+    return call
 
 
 @_frozen

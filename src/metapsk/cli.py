@@ -218,8 +218,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        print(json.dumps({"error": str(exc) or type(exc).__name__}), file=sys.stderr)
         return 1
 
 

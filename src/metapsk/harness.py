@@ -5,19 +5,16 @@ grid for one or both transmitter modes.  Every trial is a fresh frame
 with its own derived seed, so any point of any sweep can be reproduced
 in isolation and a rerun of the same spec is byte-identical.
 
-A point runs its trials in blocks (:func:`run_trials`): 1, 2, 4, ...
-frames go through the chain together, up to ``_BLOCK_SAMPLES`` samples
-a block.  Short frames spend most of a trial on numpy's per-call cost,
-which a block pays once; blocks start small so that a point that stops
-after a frame or two computes few trials it drops.  Every frame of a
-block keeps its own seeds and its own per-frame steps, so a trial's
+A point runs its trials in blocks (:func:`run_trials`) of as many
+frames as fit in ``_BLOCK_SAMPLES`` samples: short frames spend most of
+a trial on numpy's per-call cost, which a block pays once.  Every frame
+of a block keeps its own seeds and its own per-frame steps, so a trial's
 outcome, and with it every point, is the same whatever block it runs in.
 
 On a machine with a second CPU a sweep forks one trial worker
-(:class:`_TrialWorker`) and its blocks go in pairs of one size: the
-sweep's process runs the first block of each pair while the worker runs
-the second, and the stop rule takes their outcomes in trial order.  The
-results are the same bytes either way.
+(:class:`_TrialWorker`): the sweep's process and the worker run the
+blocks of a point in turn, and the stop rule takes their outcomes in
+trial order.  The results are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -180,15 +177,11 @@ class PointResult:
 _BLOCK_SAMPLES = 8 * FrameLayout().total_symbols
 
 
-def _blocks(items, cap: int, each: int):
-    """``items`` in consecutive lists of 1, 2, 4, ... up to ``cap`` items, ``each`` lists a size."""
-    items, size = iter(items), 1
-    while True:
-        for _ in range(each):
-            if not (block := list(itertools.islice(items, size))):
-                return
-            yield block
-        size = min(2 * size, cap)
+def _blocks(items, size: int):
+    """``items`` in consecutive lists of ``size`` items, the last one shorter."""
+    items = iter(items)
+    while block := list(itertools.islice(items, size)):
+        yield block
 
 
 class _TrialWorker:
@@ -319,13 +312,12 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
     (common random numbers) and the stopping rule is disabled to keep the
     trial count aligned across modes.
 
-    Trials run in blocks of 1, 2, 4, ... up to ``_BLOCK_SAMPLES``
-    samples (see the module notes), and the stop rule replays each
-    block's outcomes in trial order: the trials of a block past the stop
-    are dropped.  With a ``worker`` the blocks go in pairs of one size,
-    1, 1, 2, 2, ..., and the worker runs the second block of each pair
-    while this process runs the first; a block still in flight at the
-    stop is not waited for.  The result is the same either way.
+    Trials run in blocks of ``_BLOCK_SAMPLES`` samples, or of one frame
+    if it is longer (see the module notes), and the stop rule drops the
+    trials of a block past the stop.  A ``worker`` runs every second
+    block while this process runs the one before it; a block still in
+    flight at the stop is not waited for.  The result is the same either
+    way.
     """
     if var is SweepVar.SYMBOL_RATE:
         cfg = replace(cfg, symbol_rate_hz=value)
@@ -337,7 +329,7 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
         worker.start_point(mode, cfg, channel)
 
     def outcomes():  # each trial's LinkMetrics, or None where sync failed
-        blocks = _blocks(seeds, cap, 2 if worker else 1)
+        blocks = _blocks(seeds, cap)
         for block in blocks:
             second = next(blocks, None) if worker else None
             request = worker.submit(second) if second else None

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .baseband import (
     GRAY_DISTANCE,
     FrameLayout,
     Waveform,
+    _frozen,
     as_indices,
     constellation,
     mean_power,
@@ -61,34 +62,14 @@ class SyncError(RuntimeError):
     """Raised when no credible frame start is found."""
 
 
-def _memo_by_value(fn):
-    """Memoize ``fn(array, *args)`` on the array's contents.
-
-    An array is not hashable, so the key is its dtype, shape and bytes: a
-    frame format's reference, handed over afresh with every frame, is
-    worked up once.  A process sees few frame formats, and the cache
-    holds each key's bytes, so it keeps only the last 16.
-    """
-    @lru_cache(maxsize=16)
-    def cached(dtype, shape, data, *args):
-        return fn(np.frombuffer(data, dtype=dtype).reshape(shape), *args)
-
-    @wraps(fn)
-    def call(array, *args):
-        array = np.asarray(array)
-        return cached(array.dtype.str, array.shape, array.tobytes(), *args)
-    return call
-
-
-@_memo_by_value
+@_frozen
 def _sync_reference(sync_syms: np.ndarray, oversampling: int) -> tuple[np.ndarray, float]:
     """The oversampled sync subframe on the unrotated constellation, and its norm."""
     ref = np.repeat(constellation()[sync_syms], oversampling)
-    ref.flags.writeable = False
     return ref, float(np.linalg.norm(ref))
 
 
-@_memo_by_value
+@_frozen
 def _energy(ref: np.ndarray) -> float:
     """Sum of squared magnitudes: the denominator of the LS gain estimate."""
     return float(np.sum(np.abs(ref) ** 2))
@@ -121,7 +102,7 @@ def synchronize(
     best peak below ``threshold``, or a NaN peak (from a NaN or infinite
     sample in the window), raises :class:`SyncError`.
     """
-    ref, ref_norm = _sync_reference(sync_syms, wave.oversampling)
+    ref, ref_norm = _sync_reference(np.asarray(sync_syms), wave.oversampling)
     r = wave.samples
     if r.size < ref.size:
         raise SyncError("waveform shorter than the sync reference")
@@ -198,8 +179,7 @@ def demodulate(samples: np.ndarray, phase_offset_deg: float = 0.0) -> tuple[np.n
     return bits.reshape(*indices.shape[:-1], BITS_PER_SYMBOL * indices.shape[-1]), indices
 
 
-@dataclass(frozen=True)
-class _FrameReference:
+class _FrameReference(NamedTuple):
     """What the receiver compares one frame format against."""
 
     centres: np.ndarray | slice  # mid-symbol samples from the frame start
@@ -208,22 +188,20 @@ class _FrameReference:
     pilot_power: float
 
 
-@lru_cache(maxsize=64)
+@_frozen
 def _frame_reference(layout: FrameLayout, oversampling: int) -> _FrameReference:
     """The reference of a frame format, built once per format."""
     train_ref = constellation()[training_symbols(layout)]
-    train_ref.flags.writeable = False
     pilot_ref = train_ref[layout.pilot_slice]
     centres = slice(0, layout.total_symbols) if oversampling == 1 else symbol_centres(layout, oversampling)
     return _FrameReference(centres, train_ref, pilot_ref, mean_power(pilot_ref))
 
 
-@lru_cache(maxsize=1)
+@_frozen
 def _point_power() -> np.ndarray:
     """|c|^2 of each constellation point, as :func:`mean_power` squares it."""
     power = np.abs(constellation())
     np.square(power, out=power)
-    power.flags.writeable = False
     return power
 
 
@@ -246,13 +224,16 @@ def receive_frame(
 
     A constellation rotation at the transmitter ends up in
     ``estimate.gain``; ``eq_data`` lies on the unrotated constellation.
+    A frame found with a NaN or infinite mid-symbol sample raises
+    :class:`SyncError` naming the first such symbol: it would decode to
+    arbitrary symbols.
 
     A block of frames (a 2-D waveform, one frame per row) gives a list
     with one entry per row: its :class:`ReceivedFrame`, or the
-    :class:`SyncError` its row raised.  Each row is synchronized and its
-    gain estimated on its own; the rows that passed are then equalized,
-    sliced and demodulated together, and their frames hold rows of the
-    block's arrays.
+    :class:`SyncError` its row raised.  Each row is synchronized, checked
+    and its gain estimated on its own; the rows that passed are then
+    equalized, sliced and demodulated together, and their frames hold
+    rows of the block's arrays.
     """
     ovs = wave.oversampling
     ref = _frame_reference(layout, ovs)
@@ -260,7 +241,6 @@ def receive_frame(
     rows = wave.samples.reshape(-1, n)
     max_start = n - layout.total_symbols * ovs
     sync_syms = sync_symbols(layout.sync_len)
-    training = layout.sync_len + layout.pilot_len
     outcomes: list = [None] * rows.shape[0]
     passed = []  # (row, sync, estimate) of each row that passed sync
     # equalized pilot and data sections of those rows; nothing reads the sync section's
@@ -272,10 +252,14 @@ def receive_frame(
             outcomes[i] = exc
             continue
         y = row[sync.frame_start:][ref.centres]
+        # one sum: not finite for a NaN or infinite sample, or when the energy overflows
+        if not math.isfinite(np.vdot(y, y).real) and not (finite := np.isfinite(y)).all():
+            outcomes[i] = SyncError(f"symbol {finite.argmin()} of the frame has a non-finite sample")
+            continue
         # Estimate over sync + pilot: with only the 32 pilot symbols the
         # estimate's own noise (1/32 of the sample noise) visibly inflates
         # BER on the steep part of the waterfall.
-        estimate = estimate_channel(y[:training], ref.train_ref)
+        estimate = estimate_channel(y[: ref.train_ref.size], ref.train_ref)
         np.divide(y[layout.sync_len:], estimate.gain, out=y_eq[len(passed)])
         passed.append((i, sync, estimate))
     y_eq = y_eq[: len(passed)]

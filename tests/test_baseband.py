@@ -191,6 +191,11 @@ class TestTrainingSequences:
             shared[0] = shared[1]
         np.testing.assert_array_equal(shared, inspect.unwrap(fn)(*args))
 
+    def test_frame_constants_take_keyword_arguments(self):
+        shared = constellation(phase_offset_deg=22.5)
+        assert constellation(phase_offset_deg=22.5) is shared
+        np.testing.assert_array_equal(shared, constellation(22.5))
+
     def test_training_symbols_and_centres(self):
         layout = FrameLayout(sync_len=5, pilot_len=3, data_len=2)
         np.testing.assert_array_equal(
@@ -223,6 +228,11 @@ class TestFrame:
         """A payload of 0.3s used to be cast to an all-zero frame."""
         with pytest.raises(ValueError, match="bits must be integers in 0..1"):
             build_frame(np.full(FrameLayout().payload_bits, 0.3))
+
+    @pytest.mark.parametrize("lengths", [dict(sync_len=0), dict(pilot_len=-1), dict(data_len=0)])
+    def test_non_positive_subframe_rejected(self, lengths):
+        with pytest.raises(ValueError, match="subframe lengths must be positive"):
+            FrameLayout(**lengths)
 
     def test_payload_survives_frame_roundtrip(self):
         rng = np.random.default_rng(7)
@@ -308,3 +318,12 @@ class TestSynthesize:
         for oversampling in (0, -1):
             with pytest.raises(ValueError, match="oversampling"):
                 Waveform(np.zeros(4, dtype=complex), oversampling)
+
+    @pytest.mark.parametrize("mode", list(TxMode))
+    def test_synthesize_refuses_zero_oversampling(self, frame, mode):
+        with pytest.raises(ValueError, match="oversampling must be >= 1"):
+            synthesize(frame, mode, VoltagePhaseCurve(), make_rc(0.0, 2.048e6, 1), 0)
+
+    def test_synthesize_refuses_an_unknown_mode(self, frame):
+        with pytest.raises(ValueError, match="unknown mode"):
+            synthesize(frame, "qpsk", VoltagePhaseCurve(), make_rc(0.0, 2.048e6, 8), 8)

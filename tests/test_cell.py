@@ -324,6 +324,23 @@ class TestBiasLagIsExact:
         assert bool(rounds) == repairs
         assert got.tobytes() == lag_samples(rc, levels, symbols, 8).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_line_left_unsettled_by_the_repair_rounds_walks_the_rest(self, monkeypatch, seed):
+        """At 417 ns, a**8 = 0.31: the lag table is used, but symbols are
+        still off after the last repair round, and the rest of the frame
+        is walked from the first of them."""
+        from metapsk import cell
+
+        rc = RcDynamics(tau_s=417e-9, sample_period_s=1.0 / (2.048e6 * 8))
+        levels = bias_voltage_table(VoltagePhaseCurve())
+        symbols = np.random.default_rng(seed).integers(0, 8, 2400)
+        walk, walked = cell._walk, []
+        monkeypatch.setattr(cell, "_walk", lambda state, charge, *args:
+                            walked.append(charge.size) or walk(state, charge, *args))
+        got = voltage_trajectory(rc, levels, symbols, 8)
+        assert len(walked) == 1 and 0 < walked[0] < symbols.size
+        assert got.tobytes() == lag_samples(rc, levels, symbols, 8).tobytes()
+
     def test_slow_line_stays_fast(self):
         """A line that remembers the whole frame: the repair rounds are
         capped and a sample-by-sample walk finishes; unbounded rounds

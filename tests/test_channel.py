@@ -171,6 +171,10 @@ class TestSnrPerBit:
     def test_oversampled(self):
         assert snr_from_eb_n0_db(14.260, 8) == pytest.approx(10.0, abs=5e-4)
 
+    def test_zero_oversampling_rejected(self):
+        with pytest.raises(ValueError, match="oversampling must be >= 1"):
+            snr_from_eb_n0_db(10.0, 0)
+
     def test_inverse(self):
         """Symbol energy (ovs samples) spread over 3 bits gives back Eb/N0."""
         snr = snr_from_eb_n0_db(7.25, 8)

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from metapsk import cli
 from metapsk.baseband import TxMode
 from metapsk.cli import main
 from metapsk.config import SimConfig
@@ -376,6 +377,23 @@ class TestPattern:
         assert "must lie in" in json.loads(err)["error"]
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 671. GiB for an array with shape (90000000001,)"),
+         "Unable to allocate 671. GiB for an array with shape (90000000001,)"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_out_of_memory_is_a_json_error(self, capsys, monkeypatch, tmp_path, exc, message):
+        """A cut too fine to allocate (``--theta-step 1e-9``) ends in one JSON
+        error line, not a traceback; the allocation is faked, never made."""
+        def out_of_memory(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "array_factor", out_of_memory)
+        code, stdout, err = run_cli(capsys, "pattern", "--out", str(tmp_path / "af.csv"))
+        assert (code, stdout) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == message
+
 
 # sha256 of the artifacts at --seed 11 (the pattern cuts take no seed).
 # Any change to the numbers, the CSV/JSON formatting or the config
@@ -427,10 +445,9 @@ OVERSAMPLED_SHA256 = {
 
 
 # sha256 of `sweep --var snr --trials 40 --seed 11` artifacts at oversampling
-# 1, where trials run in blocks of 1, 2, 4 and then 8, or 1, 1, 2, 2, ... with
-# a trial worker: the points that stop early stop after 2 and 6 frames (inside
-# a block of the first schedule, at the end of the worker's block in the
-# second), and the rest run 40.
+# 1, where trials run in blocks of 8: the points that stop early stop after 1,
+# 2 or 6 frames, inside the first block (with a trial worker, while the
+# worker's block of trials 8-15 is in flight), and the rest run 40.
 BLOCKED_SHA256 = {
     "results.csv": "0f8b055640442b853a6a88cafbb14045a640e95e76c8fb170795913a7245b0bb",
     "manifest.json": "c2533c6b478662366738b110253a2de9cea3eaef732f53cb417e64c25f5657eb",

@@ -238,7 +238,7 @@ class TestTrialBlocks:
         assert capped == [default] * 3
 
     def test_stop_inside_a_block(self, monkeypatch):
-        # the stop at trial 6 falls inside the default third block, trials 4-7
+        # the stop at trial 6 falls inside the default first block, trials 0-7
         default, *capped = _point_at_each_block_cap(monkeypatch, 14.0)
         assert (default.frames, default.bit_errors) == (6, 106)
         assert capped == [default] * 3
@@ -403,7 +403,7 @@ class TestTrialWorker:
         (8, ["--var", "power", "--values", "-40", "-36", "-24", "--trials", "4"]),
         (8, ["--var", "rate", "--values", "512000", "4096000", "--trials", "3", "--paired"]),
         (32, ["--var", "snr", "--values", "16", "--trials", "3"]),
-        # BLOCKED_SHA256's sweep: points stop after 2 and 6 frames, the rest run 40
+        # BLOCKED_SHA256's sweep: points stop after 1, 2 or 6 frames, the rest run 40
         (1, ["--var", "snr", "--trials", "40", "--seed", "11"]),
         (2, ["--var", "power", "--trials", "12"]),
     ])
@@ -433,12 +433,16 @@ class TestTrialWorker:
         run_sweep(self.spec, fast_cfg())
         assert len(spied_worker.made) == 1
 
+    def one_frame_per_block(self, monkeypatch):
+        """Blocks of one trial: this process runs the even trials, the worker the odd ones."""
+        monkeypatch.setattr(harness, "_BLOCK_SAMPLES", fast_cfg().layout().total_symbols)
+
     @pytest.mark.parametrize("trial,where", [(0, "parent"), (1, "worker")])
     def test_no_process_outlives_the_sweep(self, monkeypatch, spied_worker, trial, where):
         _cpus(monkeypatch, {0, 1})
         run_sweep(self.spec, fast_cfg())
         _no_child_left()
-        # blocks 1, 1, 2, ...: trial 0 runs in this process, trial 1 in the worker
+        self.one_frame_per_block(monkeypatch)
         _failing_on(monkeypatch, self.seed_of(trial))
         with pytest.raises(ValueError, match=f"trial {self.seed_of(trial)} failed") as raised:
             run_sweep(self.spec, fast_cfg())
@@ -457,7 +461,8 @@ class TestTrialWorker:
 
         if when == "before_its_first_block":
             monkeypatch.setattr(harness, "_TrialWorker", _KilledWorker)
-        else:  # blocks 1, 1, 2, 2: the worker runs trial 1, then trials 4 and 5
+        else:  # the worker is sent trial 1, then killed while this process runs trial 0
+            self.one_frame_per_block(monkeypatch)
             monkeypatch.setattr(harness, "run_trials", trials)
         _cpus(monkeypatch, {0, 1})
         signal.signal(signal.SIGALRM, _timed_out)
@@ -674,6 +679,13 @@ class TestCompareModes:
         results = curve + loglinear_curve(TxMode.CONVENTIONAL, 0.0)
         gaps = compare_modes(results, targets=(1e-3,))
         assert gaps[0].gap_db == pytest.approx(0.0, abs=1e-9)
+
+    def test_flat_segment_at_the_target_crosses_at_its_start(self):
+        results = [synthetic_point(mode, value, ber)
+                   for mode, shift in ((TxMode.METASURFACE, 6.0), (TxMode.CONVENTIONAL, 0.0))
+                   for value, ber in ((4.0 + shift, 1e-2), (6.0 + shift, 1e-2), (8.0 + shift, 1e-3))]
+        (gap,) = compare_modes(results, targets=(1e-2,))
+        assert (gap.metasurface_value, gap.conventional_value, gap.gap_db) == (10.0, 4.0, 6.0)
 
     def test_requires_both_modes(self):
         with pytest.raises(ValueError):

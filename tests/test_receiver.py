@@ -67,6 +67,11 @@ class TestSynchronize:
         padded = replace(wave, samples=np.concatenate([np.zeros(1000, dtype=complex), wave.samples]))
         assert synchronize(padded, sync_symbols(64)).frame_start == 1000
 
+    def test_waveform_shorter_than_the_reference_raises(self):
+        _, _, wave = frame_wave(4, oversampling=1)
+        with pytest.raises(SyncError, match="shorter than the sync reference"):
+            synchronize(replace(wave, samples=wave.samples[:63]), sync_symbols(64))
+
     def test_noise_only_raises(self):
         rng = np.random.default_rng(4)
         noise = rng.standard_normal(20000) + 1j * rng.standard_normal(20000)
@@ -235,6 +240,18 @@ class TestEstimateChannel:
     def test_zero_gain_rejected(self):
         with pytest.raises(ValueError):
             ChannelEstimate(gain=0.0 + 0.0j)
+
+    @pytest.mark.parametrize("gain", [complex(math.nan, 0.0), complex(1.0, math.inf),
+                                      complex(-math.inf, 0.0)])
+    def test_non_finite_gain_rejected(self, gain):
+        with pytest.raises(ValueError, match="must be finite"):
+            ChannelEstimate(gain=gain)
+
+    @pytest.mark.parametrize("rx_len, ref_len", [(31, 32), (33, 32), (0, 0)])
+    def test_mismatched_or_empty_inputs_rejected(self, rx_len, ref_len):
+        ref = constellation()[pilot_symbols(ref_len)]
+        with pytest.raises(ValueError, match="equal-length, non-empty"):
+            estimate_channel(np.ones(rx_len, dtype=complex), ref)
 
     @given(mag=st.floats(0.1, 5.0), phase=st.floats(0.0, 2 * math.pi))
     def test_any_gain_recovered(self, mag, phase):
@@ -407,6 +424,40 @@ class TestReceiveFrame:
         cut = replace(wave, samples=wave.samples[: wave.samples.size // 2])
         with pytest.raises(SyncError):
             receive_frame(cut)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
+    @pytest.mark.parametrize("symbol", [70, 1000], ids=["pilot", "data"])
+    @pytest.mark.parametrize("oversampling", [1, 8])
+    def test_non_finite_sample_fails_the_frame(self, value, symbol, oversampling):
+        """A NaN or infinite mid-symbol sample past the sync window is a
+        SyncError naming its symbol, in the pilot (where it would spoil the
+        gain estimate) as in the data (where it would decode as a symbol)."""
+        _, _, wave = frame_wave(29, oversampling=oversampling)
+        samples = wave.samples.copy()
+        samples[symbol * oversampling + oversampling // 2] = value
+        with pytest.raises(SyncError, match=f"symbol {symbol} of the frame has a non-finite sample"):
+            receive_frame(replace(wave, samples=samples))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("symbol", [70, 1000], ids=["pilot", "data"])
+    def test_non_finite_sample_fails_its_row_alone(self, value, symbol):
+        rows = [frame_wave(30 + k, oversampling=1)[2].samples for k in range(3)]
+        block = np.stack(rows)
+        block[1, symbol] = value
+        outcomes = receive_frame(Waveform(block, 1))
+        assert isinstance(outcomes[1], SyncError)
+        assert str(outcomes[1]) == f"symbol {symbol} of the frame has a non-finite sample"
+        for k in (0, 2):
+            alone = receive_frame(Waveform(rows[k], 1))
+            assert outcomes[k].eq_data.tobytes() == alone.eq_data.tobytes()
+            assert outcomes[k].symbols.tobytes() == alone.symbols.tobytes()
+
+    def test_finite_samples_whose_energy_overflows_still_decode(self):
+        """At 3e152 the frame's energy overflows a float (the sync window's does
+        not): the samples are finite, so the frame decodes."""
+        payload, frame, wave = frame_wave(31, oversampling=1)
+        received = receive_frame(replace(wave, samples=wave.samples * 3e152))
+        assert measure(received, payload, frame.data_symbols()).ber == 0.0
 
     def test_est_snr_tracks_channel(self):
         _, _, wave = frame_wave(25)

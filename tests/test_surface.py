@@ -49,6 +49,9 @@ class TestGeometry:
             SurfaceGeometry(rows=0)
         with pytest.raises(ValueError):
             SurfaceGeometry(cell_pitch_m=-0.01)
+        for freq in (0.0, -4.25e9):
+            with pytest.raises(ValueError, match="carrier_freq_hz must be positive"):
+                SurfaceGeometry(carrier_freq_hz=freq)
 
 
 class TestReflectSample:

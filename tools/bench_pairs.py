@@ -120,14 +120,19 @@ def summarize(pairs: list[dict], declared: list[dict]) -> dict:
 
 
 def environment() -> dict:
+    """The machine and library versions; scipy's only where it is installed."""
     import numpy
-    import scipy
 
     cpu = next((line.split(":", 1)[1].strip() for line in open("/proc/cpuinfo")
                 if line.startswith("model name")), platform.processor())
-    return {"host": platform.node(), "nproc": len(os.sched_getaffinity(0)), "cpu": cpu,
-            "platform": platform.platform(), "python": platform.python_version(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__, "thread_env": THREADS}
+    env = {"host": platform.node(), "nproc": len(os.sched_getaffinity(0)), "cpu": cpu,
+           "platform": platform.platform(), "python": platform.python_version(),
+           "numpy": numpy.__version__, "thread_env": THREADS}
+    try:
+        import scipy
+    except ImportError:  # metapsk itself needs only numpy
+        return env
+    return {**env, "scipy": scipy.__version__}
 
 
 def main(argv=None) -> int:
@@ -150,6 +155,7 @@ def main(argv=None) -> int:
     workloads = args.workloads or [w["name"] for w in declared["workloads"]]
     parent_commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                                    capture_output=True, text=True).stdout.strip()
+    env = environment()  # before the pairs, so a failure here loses none of them
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": checkout(args.parent, Path(tmp) / "parent"),
@@ -180,7 +186,7 @@ def main(argv=None) -> int:
         return 0
     bench = {"change": args.change_note, "parent_commit": parent_commit,
              "command": RUN.format(seconds=args.seconds), "protocol": PROTOCOL,
-             "environment": environment()}
+             "environment": env}
     if args.claim:
         workload, metric, ratio = args.claim
         s = results[workload]["summary"][metric]
