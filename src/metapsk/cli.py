@@ -35,7 +35,7 @@ from .harness import (
     write_manifest,
     write_results_csv,
 )
-from .surface import array_factor
+from .surface import SurfaceGeometry, array_factor
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("hw-count", help="RF component counts for both architectures")
-    p.add_argument("--channels", type=int, default=256)
+    p.add_argument("--channels", type=int, default=SurfaceGeometry().n_cells)
     p.set_defaults(func=cmd_hw_count)
 
     p = sub.add_parser("constellation", help="single-frame run emitting equalized IQ points")

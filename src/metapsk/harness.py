@@ -386,70 +386,34 @@ def run_sweep(spec: SweepSpec, cfg: SimConfig) -> list[PointResult]:
             worker.close()
 
 
-# The parsers take only what the writer writes: Python's int() and
-# float() would also take surrounding spaces and digit underscores.
-
-def _parse_flag(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(f"{text!r} is not 0 or 1")
-    return text == "1"
-
-
-def _parse_count(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{text!r} is not a count (digits 0-9 only)")
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    if text != text.strip() or "_" in text:
-        raise ValueError(f"{text!r} is not a float as written (no spaces or underscores)")
-    return float(text)
-
-
-def _parse_finite(text: str) -> float:
-    value = _parse_float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
-    return value
-
-
-def _parse_positive(text: str) -> float:
-    value = _parse_finite(text)
-    if not value > 0.0:
-        raise ValueError(f"{text!r} is not positive")
-    return value
-
-
-def _parse_rate(text: str) -> float:
-    rate = _parse_float(text)
-    if not (math.isnan(rate) or 0.0 <= rate <= 1.0):  # NaN: no frame passed sync
-        raise ValueError(f"{text!r} is not a rate in [0, 1] or nan")
-    return rate
-
-
-# (format, parse) for each field type of PointResult; every int field is a count.
+# (format, parse) for each field type of PointResult.  A field is read
+# only as the writer writes it: its parsed value must format back to its
+# exact text, so spaces, digit underscores, signs and spellings the
+# writer never writes are refused.
 _CSV_CODECS = {
     TxMode: (lambda x: x.value, TxMode),
     SweepVar: (lambda x: x.value, SweepVar),
-    float: (lambda x: repr(float(x)), _parse_float),
+    float: (lambda x: repr(float(x)), float),
     float | None: (lambda x: "" if x is None else repr(float(x)),
-                   lambda s: _parse_float(s) if s else None),
-    int: (str, _parse_count),
-    bool: (lambda x: "1" if x else "0", _parse_flag),
+                   lambda s: float(s) if s else None),
+    int: (str, int),
+    bool: (lambda x: "1" if x else "0", lambda s: s == "1"),
 }
-# column name -> (format, parse), in PointResult's field order; where a
-# sweep writes only finite numbers (or rates in [0, 1]), the parser
-# refuses the rest
-_CSV_COLUMNS = {name: _CSV_CODECS[kind] for name, kind in get_type_hints(PointResult).items()}
-_format_float = _CSV_CODECS[float][0]
-_CSV_COLUMNS.update(
-    value=(_format_float, _parse_finite),
-    symbol_rate_hz=(_format_float, _parse_positive),
-    tx_power_dbm=(_CSV_CODECS[float | None][0], lambda s: _parse_finite(s) if s else None),
-    ber=(_format_float, _parse_rate),
-    ser=(_format_float, _parse_rate),
-)
+_FIELD_TYPES = get_type_hints(PointResult)
+# column name -> (format, parse), in PointResult's field order
+_CSV_COLUMNS = {name: _CSV_CODECS[kind] for name, kind in _FIELD_TYPES.items()}
+
+_COUNT = ((lambda n: n >= 0), "a count")
+_FINITE = (math.isfinite, "finite")
+# NaN: no frame passed sync
+_RATE = ((lambda x: math.isnan(x) or 0.0 <= x <= 1.0), "a rate in [0, 1] or nan")
+# column name -> (check, what it asks), for what a column's type cannot
+# state: every int field is a count; an empty tx_power_dbm (None) has
+# nothing to check
+_CSV_CHECKS = {name: _COUNT for name, kind in _FIELD_TYPES.items() if kind is int} | {
+    "value": _FINITE, "symbol_rate_hz": ((lambda x: 0.0 < x < math.inf), "finite and positive"),
+    "tx_power_dbm": _FINITE, "ber": _RATE, "ser": _RATE,
+}
 
 
 def write_results_csv(path, results: list[PointResult]) -> None:
@@ -462,14 +426,11 @@ def write_results_csv(path, results: list[PointResult]) -> None:
 
 
 def read_results_csv(path) -> list[PointResult]:
-    """The rows of a ``results.csv``.
+    """The rows of a ``results.csv``, taken only as :func:`write_results_csv` writes them.
 
-    A file that is not UTF-8 raises :class:`ValueError` naming ``path``.
-    A missing column, a short row or a field the writer would not have
-    written (a negative count, spaces or digit underscores in a number,
-    a non-finite ``value`` or ``tx_power_dbm``, a ``symbol_rate_hz``
-    that is not finite and positive, a ``ber`` or ``ser`` outside
-    [0, 1] that is not NaN) raises :class:`ValueError` naming
+    A file that is not UTF-8 raises :class:`ValueError` naming ``path``;
+    a missing column, a short row, or a field that does not format back
+    to its own text or fails its column's check raises one naming
     ``path:line`` and the column.
     """
     with open_utf8(path, newline="") as fh:
@@ -480,13 +441,20 @@ def read_results_csv(path) -> list[PointResult]:
         results = []
         for row in reader:
             fields = {}
-            for name, (_, parse) in _CSV_COLUMNS.items():
+            for name, (fmt, parse) in _CSV_COLUMNS.items():
+                text = row[name]
                 try:
-                    if row[name] is None:
+                    if text is None:
                         raise ValueError("the row ends before it")
-                    fields[name] = parse(row[name])
+                    value = parse(text)
+                    if fmt(value) != text:
+                        raise ValueError(f"{text!r} is not as written")
+                    check, what = _CSV_CHECKS.get(name, (None, None))
+                    if check and value is not None and not check(value):
+                        raise ValueError(f"{text!r} is not {what}")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{reader.line_num}: column {name!r}: {exc}") from None
+                fields[name] = value
             results.append(PointResult(**fields))
         return results
 

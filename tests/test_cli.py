@@ -20,6 +20,7 @@ from metapsk.harness import (
     run_sweep,
     write_results_csv,
 )
+from metapsk.surface import SurfaceGeometry
 
 from helpers import loglinear_curve
 
@@ -46,6 +47,11 @@ class TestHwCount:
         report = stdout_json(capsys, "hw-count", "--channels", "256")
         assert report["metasurface"] == {"power_amplifiers": 1, "mixers": 0, "filters": 0}
         assert report["conventional"] == {"power_amplifiers": 256, "mixers": 512, "filters": 512}
+
+    def test_default_is_the_panel(self, capsys):
+        report = stdout_json(capsys, "hw-count")
+        assert report["channels"] == SurfaceGeometry().n_cells == 256  # the paper's 8 x 32 cells
+        assert report["conventional"]["power_amplifiers"] == 256
 
     def test_invalid_channels_fail_with_json_error(self, capsys):
         code, _, err = run_cli(capsys, "hw-count", "--channels", "0")
@@ -253,7 +259,8 @@ class TestCompare:
 
 
     def test_malformed_results_csv_is_a_json_error(self, capsys, tmp_path):
-        """A missing column, a short row or a flag other than 0/1 names the file, line and column."""
+        """A missing column, a short row, a flag other than 0/1 or a NaN the writer
+        never writes names the file, line and column."""
         good = tmp_path / "good.csv"
         write_results_csv(good, loglinear_curve(TxMode.METASURFACE, 0.0))
         lines = good.read_text().splitlines()
@@ -270,6 +277,13 @@ class TestCompare:
         mode, var, _, rest = lines[2].split(",", 3)
         nan_value.write_text("\n".join([*lines[:2], f"{mode},{var},nan,{rest}"]) + "\n")
         cases.append((nan_value, ":3: column 'value'"))
+        nan = math.nan  # a point where no frame passed sync, then the file re-saved by another program
+        no_sync = replace(loglinear_curve(TxMode.METASURFACE, 0.0, values=(20.0,))[0], ber=nan, ser=nan,
+                          evm_rms_pct=nan, est_snr_db=nan, bits=0, bit_errors=0, frames=0, sync_failures=100)
+        resaved = tmp_path / "resaved.csv"
+        write_results_csv(resaved, [*read_results_csv(good), no_sync])
+        resaved.write_text(resaved.read_text().replace("nan", "NaN"))
+        cases.append((resaved, ":7: column 'ber'"))
         for path, where in cases:
             code, out, err = run_cli(capsys, "compare", str(path))
             assert code == 1

@@ -576,10 +576,14 @@ class TestResultsTable:
         ("tx_power_dbm", " -30.0"), ("value", "nan"), ("value", "inf"), ("value", "-inf"),
         ("symbol_rate_hz", "nan"), ("symbol_rate_hz", "inf"), ("symbol_rate_hz", "0.0"),
         ("symbol_rate_hz", "-2048000.0"), ("tx_power_dbm", "-inf"), ("tx_power_dbm", "nan"),
+        ("ber", "5e-1"), ("ber", "0.50"), ("bits", "007"), ("evm_rms_pct", "NaN"), ("snr_db", "1E1"),
+        ("est_snr_db", "Infinity"), ("value", "10"), ("tx_power_dbm", "-3e1"),
+        ("symbol_rate_hz", "2.048e6"),
     ])
     def test_text_the_writer_never_writes_is_refused(self, tmp_path, column, text):
-        """Python's int() and float() take spaces, digit underscores and
-        non-finite numbers a sweep never writes; the reader does not."""
+        """Python's int() and float() take spaces, digit underscores, other
+        spellings of a number and non-finite numbers a sweep never writes;
+        the reader does not."""
         path = tmp_path / "results.csv"
         write_results_csv(path, [synthetic_point(TxMode.CONVENTIONAL, 10.0, 0.01, SweepVar.TX_POWER)])
         header, row = path.read_text().splitlines()
@@ -587,6 +591,26 @@ class TestResultsTable:
         fields[column] = text
         path.write_text(header + "\n" + ",".join(fields.values()) + "\n")
         with pytest.raises(ValueError, match=f"^{path}:2: column '{column}': "):
+            read_results_csv(path)
+
+    @pytest.mark.parametrize("column,text,says", [
+        *((name, "-1", "'-1' is not a count") for name, kind in
+          harness._FIELD_TYPES.items() if kind is int),
+        ("low_confidence", "2", "'2' is not as written"),
+        ("low_confidence", "true", "'true' is not as written"),
+        ("low_confidence", "", "'' is not as written"),
+        ("bits", "1.0", "invalid literal"),
+    ])
+    def test_refusal_names_what_is_wrong(self, tmp_path, column, text, says):
+        """Every int column is a count by its type alone, and a field that
+        parses but does not format back is 'not as written'."""
+        path = tmp_path / "results.csv"
+        write_results_csv(path, [synthetic_point(TxMode.CONVENTIONAL, 10.0, 0.01, SweepVar.TX_POWER)])
+        header, row = path.read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        fields[column] = text
+        path.write_text(header + "\n" + ",".join(fields.values()) + "\n")
+        with pytest.raises(ValueError, match=f"^{path}:2: column '{column}': {says}"):
             read_results_csv(path)
 
     def test_file_that_is_not_utf8_is_refused(self, tmp_path):

@@ -11,6 +11,13 @@ Every run is `python3 perfbench/run.py --workload <w> --seed <s>
 --seconds <S> --trace 0`.  Quartiles are
 `statistics.quantiles(method="inclusive")`.
 
+Before a workload's pairs, the byte gate: per side, one fresh process
+runs every input set once, untimed, and records the sha256 of its
+`results.csv` and `manifest.json`; a side whose run fails stops the tool
+there, with the run's own stderr.  Each workload's entry gets `bytes`:
+the number of sets compared and the sets whose files differ between the
+sides.  Every difference is named on stderr, and the tool then exits 1.
+
 After the pairs, one untimed sweep per workload and side, in a fresh
 process, reads `ru_maxrss` of `RUSAGE_SELF` and of `RUSAGE_CHILDREN`:
 perfbench's `peak_rss_mb` does not see a sweep's child processes.
@@ -53,6 +60,23 @@ print(json.dumps({who: resource.getrusage(getattr(resource, who)).ru_maxrss / 10
                   for who in ("RUSAGE_SELF", "RUSAGE_CHILDREN")}))
 """
 
+# Every input set of a workload at full size, one after another in this
+# process: the sha256 of each set's artifacts, in input-set order.
+DIGESTS = """
+import contextlib, hashlib, io, json, sys, tempfile
+from pathlib import Path
+sys.path[:0] = ["perfbench", "src"]
+from workloads import INPUT_SETS, WORKLOADS
+from metapsk.cli import main
+digests = []
+for input_set in range(INPUT_SETS):
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        assert main(WORKLOADS[sys.argv[1]].sweep_argv("full", input_set, out)) == 0
+        digests.append({name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
+                        for name in ("results.csv", "manifest.json")})
+print(json.dumps(digests))
+"""
+
 
 def checkout(rev: str, into: Path) -> Path:
     into.mkdir()
@@ -90,6 +114,20 @@ def children_rss(tree: Path, workload: str) -> dict:
                          capture_output=True, text=True, env={**os.environ, **THREADS}).stdout
     rss = json.loads(out)
     return {"self_maxrss_mb": rss["RUSAGE_SELF"], "children_maxrss_mb": rss["RUSAGE_CHILDREN"]}
+
+
+def byte_gate(trees: dict, workload: str) -> dict:
+    """The input sets whose artifacts differ between parent and change."""
+    parent, change = (
+        json.loads(subprocess.run([sys.executable, "-c", DIGESTS, workload], cwd=trees[side],
+                                  check=True, stdout=subprocess.PIPE, text=True,
+                                  env={**os.environ, **THREADS}).stdout)
+        for side in ("parent", "change"))
+    differ = [i for i, (a, b) in enumerate(zip(parent, change)) if a != b]
+    for i in differ:
+        names = [name for name in parent[i] if parent[i][name] != change[i][name]]
+        print(f"{workload} input set {i}: {' and '.join(names)} differ", file=sys.stderr)
+    return {"input_sets": len(parent), "differ": differ}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -161,6 +199,7 @@ def main(argv=None) -> int:
         trees = {"parent": checkout(args.parent, Path(tmp) / "parent"),
                  "change": checkout(args.change, Path(tmp) / "change")}
         for workload in workloads:
+            gate = byte_gate(trees, workload)  # before the pairs, so a broken tree costs none
             pairs = []
             for i in range(args.pairs):
                 seed = args.seed_base + i
@@ -175,15 +214,17 @@ def main(argv=None) -> int:
                 "summary": summarize(pairs, declared["end_to_end"]),
                 "pairs": pairs,
                 "memory": {side: children_rss(tree, workload) for side, tree in trees.items()},
+                "bytes": gate,
             }
 
+    code = int(any(r["bytes"]["differ"] for r in results.values()))  # the byte gate
     series = {"script": shlex.join(["python3", "tools/bench_pairs.py", *sys.argv[1:]]),
               "workloads": results}
     if args.merge_into:
         bench = json.loads(args.merge_into.read_text())
         bench["other_runs"].append({"note": args.note, **series})
         args.merge_into.write_text(json.dumps(bench, indent=1) + "\n")
-        return 0
+        return code
     bench = {"change": args.change_note, "parent_commit": parent_commit,
              "command": RUN.format(seconds=args.seconds), "protocol": PROTOCOL,
              "environment": env}
@@ -199,7 +240,7 @@ def main(argv=None) -> int:
                                  and s["median_gap_exceeds_parent_iqr"])
     bench.update(series, other_runs=[])
     (args.out or ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(bench, indent=1) + "\n")
-    return 0
+    return code
 
 
 if __name__ == "__main__":
