@@ -196,10 +196,6 @@ class FrameLayout:
         return BITS_PER_SYMBOL * self.data_symbols
 
     @property
-    def sync_slice(self) -> slice:
-        return slice(0, self.sync_len)
-
-    @property
     def pilot_slice(self) -> slice:
         return slice(self.sync_len, self.sync_len + self.pilot_len)
 

@@ -90,6 +90,10 @@ class SimConfig:
         # The per-module objects validate their own fields.
         for build in (self.curve, self.rc, self.geometry, self.layout):
             build()
+        # a frame's power sums at most incident_amplitude**2 over its samples
+        a, samples = self.incident_amplitude, self.layout().total_symbols * self.oversampling
+        if not math.isfinite(a * a * samples):
+            raise ValueError("incident_amplitude is too large: a frame's power is not finite")
 
     # glue: build the per-module objects this config describes
 

@@ -36,7 +36,7 @@ import numpy as np
 from .baseband import FrameLayout, TxMode, build_frame, synthesize
 from .channel import ChannelConfig, apply_channel, realized_snr_db
 from .config import SimConfig, open_utf8
-from .receiver import SyncError, measure, receive_frame
+from .receiver import measure, receive_frame
 
 SWEEP_RESULTS_NAME = "results.csv"
 SWEEP_MANIFEST_NAME = "manifest.json"
@@ -101,14 +101,14 @@ def _channel_for(var: SweepVar, value: float, cfg: SimConfig, mode: TxMode) -> C
     return ChannelConfig(snr_db=cfg.rate_sweep_snr_db, **common)
 
 
-def run_trials(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seeds) -> list:
+def run_trials(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seeds) -> tuple[list, list]:
     """A block of frames through the chain, one per trial seed, in order.
 
-    Each trial's outcome is its (received frame, link metrics), or the
-    :class:`SyncError` its frame raised.  Each frame gets the payload and
-    the noise of its own seed, so a trial's outcome does not depend on
-    the block it runs in.  Every setting, the symbol rate included, comes
-    from ``cfg``.
+    Returns two lists aligned with ``seeds``: each trial's received
+    frame, or the ``SyncError`` its frame raised, and its link metrics,
+    or None where sync failed.  Each frame gets the payload and the noise
+    of its own seed, so a trial's outcome does not depend on the block it
+    runs in.  Every setting, the symbol rate included, comes from ``cfg``.
     """
     layout = cfg.layout()
     payload = np.empty((len(seeds), layout.payload_bits), dtype=np.uint8)
@@ -121,31 +121,21 @@ def run_trials(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seeds) -> l
     )
     rx = apply_channel(wave, channel, [derive_seed(seed, "noise") for seed in seeds])
     del wave  # a block's sample arrays are freed as soon as they are used: peak memory
-    outcomes = receive_frame(rx, layout, cfg.sync_threshold)
+    received = receive_frame(rx, layout, cfg.sync_threshold)
     del rx
-    passed = [i for i, received in enumerate(outcomes) if not isinstance(received, SyncError)]
-    rows = passed if len(passed) < len(seeds) else slice(None)  # a slice copies nothing
-    metrics = measure([outcomes[i] for i in passed], payload[rows], frame.data_symbols()[rows])
-    for i, m in zip(passed, metrics):
-        outcomes[i] = outcomes[i], m
-    return outcomes
+    return received, measure(received, payload, frame.data_symbols())
 
 
 def run_trial(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seed: int):
     """One frame through the chain: (received frame, link metrics).
 
     The block of :func:`run_trials` with ``seed`` alone.  Raises
-    :class:`SyncError` when the receiver finds no frame.
+    :class:`~metapsk.receiver.SyncError` when the receiver finds no frame.
     """
-    (outcome,) = run_trials(mode, cfg, channel, [seed])
-    if isinstance(outcome, SyncError):
-        raise outcome
-    return outcome
-
-
-def _link_metrics(outcomes: list) -> list:
-    """Each trial's :class:`LinkMetrics` of :func:`run_trials`' outcomes, or None where sync failed."""
-    return [None if isinstance(outcome, SyncError) else outcome[1] for outcome in outcomes]
+    (received,), (metrics,) = run_trials(mode, cfg, channel, [seed])
+    if metrics is None:
+        raise received
+    return received, metrics
 
 
 @dataclass
@@ -271,7 +261,7 @@ def _serve_trials(requests: int, replies: int) -> None:
                     point = message
                     continue
                 try:
-                    reply = _link_metrics(run_trials(*point, message))
+                    reply = run_trials(*point, message)[1]
                 except Exception as exc:  # raised again in the parent
                     reply = exc
                 pickle.dump(reply, tx, pickle.HIGHEST_PROTOCOL)
@@ -333,7 +323,7 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
         for block in blocks:
             second = next(blocks, None) if worker else None
             request = worker.submit(second) if second else None
-            yield from _link_metrics(run_trials(mode, cfg, channel, block))
+            yield from run_trials(mode, cfg, channel, block)[1]
             if second:
                 yield from worker.collect(request)
 

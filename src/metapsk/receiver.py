@@ -297,22 +297,29 @@ def measure(received, ref_bits: np.ndarray, ref_symbols: np.ndarray):
     from symbols: each decision adds its Gray distance to the sent
     symbol, which is the number of its bits that differ.
 
-    A list of received frames, with one row of ``ref_bits`` and of
-    ``ref_symbols`` per frame, gives a list of each frame's metrics,
-    worked out for all the frames at once.
+    A block's list, as :func:`receive_frame` returns it (a
+    :class:`SyncError` at each row that failed sync), and one row of the
+    truth per entry give one entry per row: that frame's metrics, or
+    None where sync failed.  The passing frames are measured all at once.
     """
-    frames = [received] if isinstance(received, ReceivedFrame) else received
+    if isinstance(received, ReceivedFrame):
+        return measure([received], ref_bits, ref_symbols)[0]
+    passed = [not isinstance(f, SyncError) for f in received]
+    frames = [f for f, ok in zip(received, passed) if ok]
     ref_symbols = as_indices(ref_symbols, 8, "reference symbols")
     if not frames:
-        return []
+        return [None] * len(received)
     n_bits, n_syms = frames[0].bits.size, frames[0].symbols.size
     if (any(f.bits.size != n_bits or f.symbols.size != n_syms for f in frames)
-            or np.size(ref_bits) != n_bits * len(frames) or ref_symbols.size != n_syms * len(frames)):
+            or np.size(ref_bits) != n_bits * len(received) or ref_symbols.size != n_syms * len(received)):
         raise ValueError("reference length does not match the received frame")
+    ref_symbols = ref_symbols.reshape(len(received), n_syms)
+    if len(frames) < len(received):  # a copy only when some row failed
+        ref_symbols = ref_symbols[passed]
     # intp indices: numpy's take converts any other index type first
     symbols = np.concatenate([f.symbols for f in frames]).astype(np.intp).reshape(len(frames), n_syms)
 
-    distance = GRAY_DISTANCE.take((symbols << 3) | ref_symbols.reshape(symbols.shape))
+    distance = GRAY_DISTANCE.take((symbols << 3) | ref_symbols)
     error = constellation().take(symbols)
     for row, frame in zip(error, frames):
         np.subtract(frame.eq_data, row, out=row)
@@ -321,7 +328,7 @@ def measure(received, ref_bits: np.ndarray, ref_symbols: np.ndarray):
     rows = zip(frames, np.add.reduce(distance, axis=1).tolist(),
                np.add.reduce(distance != 0, axis=1).tolist(),
                mean_power(error).tolist(), nearest.tolist())
-    metrics = [
+    metrics = (
         LinkMetrics(
             ber=errors / n_bits,
             ser=wrong / n_syms,
@@ -333,5 +340,5 @@ def measure(received, ref_bits: np.ndarray, ref_symbols: np.ndarray):
             symbols_compared=n_syms,
         )
         for frame, errors, wrong, error_power, nearest_power in rows
-    ]
-    return metrics[0] if isinstance(received, ReceivedFrame) else metrics
+    )
+    return [next(metrics) if ok else None for ok in passed]

@@ -216,7 +216,7 @@ class TestFrame:
     def test_build_frame_places_sections(self):
         layout = FrameLayout()
         frame = build_frame(np.zeros(layout.payload_bits, dtype=int), layout)
-        np.testing.assert_array_equal(frame.symbols[layout.sync_slice], sync_symbols(64))
+        np.testing.assert_array_equal(frame.symbols[: layout.sync_len], sync_symbols(64))
         np.testing.assert_array_equal(frame.symbols[layout.pilot_slice], pilot_symbols(32))
         np.testing.assert_array_equal(frame.data_symbols(), np.zeros(2304, dtype=int))
 

@@ -1,0 +1,43 @@
+"""The claim rule of ``tools/bench_pairs.py``, loaded by path."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def _summary(parent, change):
+    """Ten pairs in which ``change`` is the parent's value times its own factor."""
+    pairs = [{"parent": {name: value * (1.0 + 0.001 * i) for name, value in parent.items()},
+              "change": {name: value * (1.0 + 0.001 * i) for name, value in change.items()}}
+             for i in range(10)]
+    return bench_pairs.summarize(pairs, DECLARED)
+
+
+@pytest.mark.parametrize("metric,change,target,met", [
+    # higher is better: the median must reach the target from above
+    ("trials_per_s", 2000.0, 1.3, True),
+    ("trials_per_s", 2000.0, 2.5, False),
+    ("trials_per_s", 500.0, 0.8, False),
+    # lower is better: halving sweep_s meets a claimed 0.8, not a claimed 0.4
+    ("sweep_s", 0.5, 0.8, True),
+    ("sweep_s", 0.5, 0.4, False),
+    ("sweep_s", 2.0, 0.8, False),
+])
+def test_claim_is_judged_in_the_metrics_better_direction(metric, change, target, met):
+    parent = {"trials_per_s": 1000.0, "sweep_s": 1.0}
+    summary = _summary(parent, {**parent, metric: change})[metric]
+    assert bench_pairs.claim_met(summary, target) is met
+
+
+def test_claim_needs_nine_in_ten_pairs():
+    summary = dict(_summary({"sweep_s": 1.0}, {"sweep_s": 0.5})["sweep_s"], change_wins=8)
+    assert bench_pairs.claim_met(summary, 0.8) is False

@@ -156,6 +156,10 @@ class TestValidation:
             with pytest.raises(ValueError, match=f"^{f.name} must be finite$"):
                 SimConfig(**{f.name: bad})
 
+    def test_amplitude_whose_frame_power_overflows_rejected(self):
+        with pytest.raises(ValueError, match="^incident_amplitude is too large"):
+            SimConfig(incident_amplitude=1e160)
+
 
 class TestDerivedObjects:
     def test_curve_uses_cell_fields(self):

@@ -1,6 +1,7 @@
 """Sweep driver, result serialization, and mode comparison tests."""
 
 import cmath
+import errno
 import itertools
 import json
 import math
@@ -188,8 +189,8 @@ class TestPointRow:
         outcomes = iter([*frames[:5], None, *frames[5:]])
 
         def trials(mode, cfg, channel, seeds):
-            return [SyncError("no frame") if m is None else (None, m)
-                    for m in itertools.islice(outcomes, len(seeds))]
+            metrics = list(itertools.islice(outcomes, len(seeds)))
+            return [None] * len(metrics), metrics  # run_point reads the metrics alone
 
         monkeypatch.setattr(harness, "run_trials", trials)
         pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 10.0, fast_cfg(), master_seed=1, trials=18)
@@ -254,16 +255,18 @@ class TestTrialBlocks:
         channel = harness._channel_for(SweepVar.SNR, -4.0, cfg, mode)
         seeds = [derive_seed(11, SweepVar.SNR.value, repr(-4.0), trial) for trial in range(9)]
         block = harness.run_trials(mode, cfg, channel, seeds)
+        assert [len(outcomes) for outcomes in block] == [len(seeds)] * 2
         failed = 0
-        for seed, outcome in zip(seeds, block):
+        for seed, row_received, row_metrics in zip(seeds, *block):
             try:
                 received, metrics = run_trial(mode, cfg, channel, seed)
             except SyncError as exc:
                 failed += 1
-                assert isinstance(outcome, SyncError) and str(outcome) == str(exc)
+                assert isinstance(row_received, SyncError) and str(row_received) == str(exc)
+                assert row_metrics is None
                 continue
-            assert outcome[0].eq_data.tobytes() == received.eq_data.tobytes()
-            assert outcome[1] == metrics
+            assert row_received.eq_data.tobytes() == received.eq_data.tobytes()
+            assert row_metrics == metrics
         assert 0 < failed < len(seeds)
 
 
@@ -473,6 +476,30 @@ class TestTrialWorker:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        _no_child_left()
+
+    def test_a_failed_fork_raises_and_leaks_nothing(self, capsys, monkeypatch, tmp_path):
+        """No process to spare: the sweep raises the fork's error with the four pipe
+        ends closed and no child made, and ``metapsk sweep`` prints one JSON line."""
+        no_process = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        def fork():
+            raise no_process
+
+        _cpus(monkeypatch, {0, 1})
+        monkeypatch.setattr(os, "fork", fork)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError) as raised:
+            run_sweep(self.spec, fast_cfg())
+        assert raised.value.errno == errno.EAGAIN
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        _no_child_left()
+        code = main(["sweep", "--var", "snr", "--values", "30", "--trials", "3",
+                     "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": str(no_process)}
+        assert sorted(os.listdir("/proc/self/fd")) == fds
         _no_child_left()
 
     def test_worker_exits_when_its_pipe_from_the_parent_closes(self):

@@ -550,6 +550,29 @@ class TestMeasure:
         with pytest.raises(ValueError, match="reference symbols must be integers in 0..7"):
             measure(synthetic_received([0, 1]), np.zeros(6, dtype=int), ref)
 
+    @pytest.mark.parametrize("failed", [(0, 3, 6), (), tuple(range(7))])
+    def test_block_list_is_each_row_measured_alone(self, failed):
+        """A block's list as receive_frame returns it, with a SyncError at each
+        ``failed`` row, gives None there and each other row's single-frame metrics."""
+        rng = np.random.default_rng(5)
+        ref = rng.integers(0, 8, size=(7, 96))
+        decided = np.where(rng.random(ref.shape) < 0.3, rng.integers(0, 8, size=ref.shape), ref)
+        frames = []
+        for i, row in enumerate(decided):
+            frame = synthetic_received(row, est_snr_db=float(i))
+            frames.append(replace(frame, eq_data=frame.eq_data + 0.05 * rng.standard_normal(96)))
+        block = [SyncError(f"row {i}") if i in failed else f for i, f in enumerate(frames)]
+        expected = [None if i in failed else measure(f, symbols_to_bits(r), r)
+                    for i, (f, r) in enumerate(zip(frames, ref))]
+        bits = np.stack([symbols_to_bits(r) for r in ref])
+        assert measure(block, bits, ref) == expected
+
+    def test_block_reference_needs_a_row_per_entry(self):
+        ref = np.zeros((3, 8), dtype=int)
+        block = [SyncError("row 0"), synthetic_received(ref[1]), synthetic_received(ref[2])]
+        with pytest.raises(ValueError, match="reference length"):
+            measure(block, np.zeros((2, 24), dtype=int), ref[1:])
+
     def test_evm_scales_with_displacement(self):
         ref = np.zeros(64, dtype=int)
         received = synthetic_received(ref)

@@ -9,7 +9,9 @@ the working tree's tracked and untracked, not ignored, files.  Pair i
 uses seed base+i; even pairs run the parent first, odd pairs the change.
 Every run is `python3 perfbench/run.py --workload <w> --seed <s>
 --seconds <S> --trace 0`.  Quartiles are
-`statistics.quantiles(method="inclusive")`.
+`statistics.quantiles(method="inclusive")`.  A `--claim` ratio is read in
+the metric's `better` direction: `--claim anchor_os1 sweep_s 0.8` claims
+a `sweep_s` median at most 0.8 times the parent's.
 
 Before a workload's pairs, the byte gate: per side, one fresh process
 runs every input set once, untimed, and records the sha256 of its
@@ -157,6 +159,20 @@ def summarize(pairs: list[dict], declared: list[dict]) -> dict:
     return summary
 
 
+def claim_met(s: dict, target: float) -> bool:
+    """Whether a metric's summary meets a claimed change/parent median ratio.
+
+    The ratio is met in the metric's ``better`` direction: at least
+    ``target`` for a higher-is-better metric, at most ``target`` for a
+    lower-is-better one.  The change must also win at least 9 in 10
+    pairs, and its median must differ from the parent's by more than the
+    parent's interquartile range.
+    """
+    ratio = s["median_ratio"]
+    reached = ratio is not None and (ratio >= target if s["better"] == "higher" else ratio <= target)
+    return reached and s["change_wins"] >= 0.9 * s["pairs"] and s["median_gap_exceeds_parent_iqr"]
+
+
 def environment() -> dict:
     """The machine and library versions; scipy's only where it is installed."""
     import numpy
@@ -235,9 +251,7 @@ def main(argv=None) -> int:
                           "median_ratio": s["median_ratio"], "change_wins": s["change_wins"],
                           "pairs": s["pairs"],
                           "median_gap_exceeds_parent_iqr": s["median_gap_exceeds_parent_iqr"]}
-        bench["claim"]["met"] = (s["median_ratio"] >= float(ratio)
-                                 and s["change_wins"] >= 0.9 * s["pairs"]
-                                 and s["median_gap_exceeds_parent_iqr"])
+        bench["claim"]["met"] = claim_met(s, float(ratio))
     bench.update(series, other_runs=[])
     (args.out or ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(bench, indent=1) + "\n")
     return code
