@@ -9,9 +9,10 @@ captures it, and that linear curve is what the rest of the simulator uses.
 
 The bias-line lag is a first-order recurrence over the samples, run in
 numpy alone.  Its state is looked up per symbol history in a table built
-once per frame format, checked symbol by symbol and repaired where the
-table is off, so the result is the plain sample-by-sample recurrence bit
-for bit.
+once per frame format, checked symbol by symbol and repaired in rounds
+until no symbol is off, so the result is the plain sample-by-sample
+recurrence bit for bit.  A line too slow for the table is walked one
+sample at a time instead.
 
 Conventions: voltages in volts, phases in degrees, times in seconds.
 """
@@ -32,10 +33,9 @@ PSK_STEP_DEG = 360.0 / PSK_ORDER
 # The lag table holds a symbol's entry and exit state for every history of
 # this many earlier symbols: 8**5 = 32,768 keys, 512 KB.
 _LAG_HISTORY = 4
-# Vectorized repair rounds before the lag walks the rest of the frame one
-# sample at a time; a line needs about one round per symbol it remembers
-# to within a rounding, and a walk is cheaper than ~30 rounds, so a line
-# that remembers more symbols than this is walked from the start.
+# The walk threshold: a line needs about one repair round per symbol it
+# remembers to within a rounding, and a walk is cheaper than ~30 rounds,
+# so a line that remembers more symbols than this is walked from the start.
 _LAG_REPAIR_ROUNDS = 32
 
 
@@ -202,14 +202,13 @@ def voltage_trajectory(rc: RcDynamics, levels, symbols, oversampling: int) -> np
     The state entering each symbol is looked up in the lag table by the
     symbol's history.  Where the first sample it gives differs from the
     one the previous symbol's exit state gives, the entry is replaced and
-    the exit recomputed, in vectorized rounds; after
-    ``_LAG_REPAIR_ROUNDS`` rounds the rest of the frame is walked one
-    sample at a time.  A line that remembers more symbols than that (the
-    smallest m with ``(a**oversampling)**m < 2**-53``) is walked from
-    the first symbol.  A symbol's first sample fixes all its samples and
-    its exit, so by induction from the first symbol every sample is
-    exact, and one pass of ``oversampling`` steps over all symbols gives
-    them.
+    the exit recomputed, in vectorized rounds until no symbol differs.  A
+    line that remembers more than ``_LAG_REPAIR_ROUNDS`` symbols (the
+    smallest m with ``(a**oversampling)**m < 2**-53``) is walked one
+    sample at a time from the first symbol instead.  A symbol's first
+    sample fixes all its samples and its exit, so by induction from the
+    first symbol every sample is exact, and one pass of ``oversampling``
+    steps over all symbols gives them.
     """
     a = rc.alpha
     levels = np.asarray(levels, dtype=float)
@@ -242,15 +241,13 @@ def _table_entries(a: float, levels: np.ndarray, symbols: np.ndarray, charge: np
         keys |= history[shift:shift + n]
     table_entry, table_exit = _lag_table(levels.tobytes(), oversampling, a)
     entry, exit_state = table_entry[keys], table_exit[keys]
-    for repair_round in range(_LAG_REPAIR_ROUNDS + 1):
+    # The rounds end: every symbol before the first bad one is exact, so a
+    # round makes that one exact too, and the first bad symbol moves on.
+    while True:
         before = np.concatenate(([start], exit_state[:-1]))
         # A symbol whose first sample is right is right throughout.
         bad = np.flatnonzero((entry + charge).view(np.int64) != (before + charge).view(np.int64))
         if not bad.size:
-            break
-        if repair_round == _LAG_REPAIR_ROUNDS:
-            entry[bad[0]:] = _walk(before[bad[0]], charge[bad[0]:], oversampling, a)
-            break
+            return entry
         entry[bad] = before[bad]
         exit_state[bad] = _settle(entry[bad], charge[bad], oversampling, a)
-    return entry

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .baseband import FrameLayout
@@ -71,10 +72,13 @@ class SimConfig:
     rate_sweep_snr_db: float = 14.0         # fixed channel SNR for symbol-rate sweeps
 
     def __post_init__(self) -> None:
+        # By value, so an int too large for a float is refused without being
+        # converted; an int field takes any int.
         for f in fields(self):
             value = getattr(self, f.name)
             entries = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+            number = float if f.type == "int" else (int, float)
+            if any(isinstance(v, number) and not abs(v) <= sys.float_info.max for v in entries):
                 raise ValueError(f"{f.name} must be finite")
         for name in ("oversampling", "min_errors", "max_bits", "trials"):
             if getattr(self, name) < 1:
@@ -92,7 +96,7 @@ class SimConfig:
             build()
         # a frame's power sums at most incident_amplitude**2 over its samples
         a, samples = self.incident_amplitude, self.layout().total_symbols * self.oversampling
-        if not math.isfinite(a * a * samples):
+        if not abs(a * a * samples) <= sys.float_info.max:
             raise ValueError("incident_amplitude is too large: a frame's power is not finite")
 
     # glue: build the per-module objects this config describes

@@ -27,6 +27,7 @@ import json
 import math
 import os
 import pickle
+import sys
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import get_type_hints
@@ -62,7 +63,7 @@ class SweepSpec:
             raise ValueError("sweep needs at least one value")
         if len(self.modes) == 0 or len(set(self.modes)) != len(self.modes):
             raise ValueError("sweep modes must be non-empty and distinct")
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(abs(v) <= sys.float_info.max for v in self.values):  # ints too, unconverted
             raise ValueError("sweep values must be finite")
         if self.var is SweepVar.SYMBOL_RATE and min(self.values) <= 0:
             raise ValueError("symbol rates must be positive")

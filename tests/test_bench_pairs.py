@@ -1,4 +1,4 @@
-"""The claim rule of ``tools/bench_pairs.py``, loaded by path."""
+"""The claim rule and the sweep-wall tails of ``tools/bench_pairs.py``, loaded by path."""
 
 import importlib.util
 import json
@@ -41,3 +41,20 @@ def test_claim_is_judged_in_the_metrics_better_direction(metric, change, target,
 def test_claim_needs_nine_in_ten_pairs():
     summary = dict(_summary({"sweep_s": 1.0}, {"sweep_s": 0.5})["sweep_s"], change_wins=8)
     assert bench_pairs.claim_met(summary, 0.8) is False
+
+
+def test_sweep_wall_tails_pool_each_sides_runs():
+    pairs = [{"parent": {"sweep_walls_s": [float(w) for w in range(1 + 5 * i, 6 + 5 * i)]},
+              "change": {"sweep_walls_s": [0.5] * (i + 1)}}
+             for i in range(2)]
+    pairs.append({"parent": {"correct": False}, "change": {"sweep_walls_s": [2.5]}})
+    tails = bench_pairs.wall_tails(pairs)
+    # parent: walls 1..10; inclusive deciles put p50 at 5.5 and p90 at 9.1
+    assert tails["parent"] == {"count": 10, "p50": 5.5, "p90": pytest.approx(9.1)}
+    assert tails["change"] == {"count": 4, "p50": 0.5, "p90": pytest.approx(1.9)}
+
+
+def test_sweep_wall_tails_need_two_walls():
+    tails = bench_pairs.wall_tails([{"parent": {"sweep_walls_s": [1.0]}, "change": {}}])
+    assert tails == {"parent": {"count": 1, "p50": None, "p90": None},
+                     "change": {"count": 0, "p50": None, "p90": None}}

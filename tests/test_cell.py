@@ -19,6 +19,7 @@ from metapsk.cell import (
     voltage_to_reflection,
     voltage_trajectory,
 )
+from metapsk.config import SimConfig
 
 from helpers import lag_samples, rc_step
 
@@ -325,31 +326,56 @@ class TestBiasLagIsExact:
         assert got.tobytes() == lag_samples(rc, levels, symbols, 8).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_line_left_unsettled_by_the_repair_rounds_walks_the_rest(self, monkeypatch, seed):
-        """At 417 ns, a**8 = 0.31: the lag table is used, but symbols are
-        still off after the last repair round, and the rest of the frame
-        is walked from the first of them."""
+    def test_line_just_below_the_walk_threshold_is_repaired_to_the_end(self, monkeypatch, seed):
+        """At 417 ns, a**8 = 0.31: the lag table is used, and the repair
+        rounds run past ``_LAG_REPAIR_ROUNDS`` until every symbol is
+        exact, with no walk."""
         from metapsk import cell
 
         rc = RcDynamics(tau_s=417e-9, sample_period_s=1.0 / (2.048e6 * 8))
         levels = bias_voltage_table(VoltagePhaseCurve())
         symbols = np.random.default_rng(seed).integers(0, 8, 2400)
-        walk, walked = cell._walk, []
-        monkeypatch.setattr(cell, "_walk", lambda state, charge, *args:
-                            walked.append(charge.size) or walk(state, charge, *args))
+        voltage_trajectory(rc, levels, symbols, 8)  # caches the lag table
+        settle, rounds, walked = cell._settle, [], []
+        monkeypatch.setattr(cell, "_settle", lambda *args: rounds.append(1) or settle(*args))
+        monkeypatch.setattr(cell, "_walk", lambda *args: walked.append(1))
         got = voltage_trajectory(rc, levels, symbols, 8)
-        assert len(walked) == 1 and 0 < walked[0] < symbols.size
+        assert len(rounds) > cell._LAG_REPAIR_ROUNDS and not walked
         assert got.tobytes() == lag_samples(rc, levels, symbols, 8).tobytes()
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        rate=st.sampled_from(SimConfig().rate_grid_hz),
+        oversampling=st.sampled_from([1, 2, 4, 8, 32]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 2400),
+        tau=st.floats(0.0, 1e-6),
+        # a**oversampling = exp(-1 / (rate * tau)); just below the walk
+        # threshold (0.3174) the repair rounds run longest
+        band=st.booleans(),
+        memory=st.floats(0.25, 0.3168),
+    )
+    def test_lag_across_tau(self, rate, oversampling, seed, n, tau, band, memory):
+        if band:
+            tau = -1.0 / (rate * math.log(memory))
+        rc = RcDynamics(tau_s=tau, sample_period_s=1.0 / (rate * oversampling))
+        levels = bias_voltage_table(VoltagePhaseCurve())
+        symbols = np.random.default_rng(seed).integers(0, 8, n)
+        got = voltage_trajectory(rc, levels, symbols, oversampling)
+        assert got.tobytes() == lag_samples(rc, levels, symbols, oversampling).tobytes()
+
     def test_slow_line_stays_fast(self):
-        """A line that remembers the whole frame: the repair rounds are
-        capped and a sample-by-sample walk finishes; unbounded rounds
-        take well over 100 ms on a frame like this."""
+        """A line that remembers the whole frame is walked sample by sample,
+        and one just below the walk threshold (425 ns, a**32 = 0.317)
+        settles in ~35 repair rounds; unbounded rounds on the first, or
+        rounds that stop converging on the second, take well over 100 ms
+        on a frame like this."""
         from metapsk.baseband import FrameLayout, TxMode, build_frame, synthesize
 
         layout = FrameLayout()
         frame = build_frame(np.random.default_rng(1).integers(0, 2, layout.payload_bits), layout)
-        rc = RcDynamics(tau_s=1e-3, sample_period_s=1.0 / (2.048e6 * 32))
-        start = time.perf_counter()
-        synthesize(frame, TxMode.METASURFACE, VoltagePhaseCurve(), rc, 32)
-        assert time.perf_counter() - start < 0.1
+        for tau_s in (1e-3, 425e-9):
+            rc = RcDynamics(tau_s=tau_s, sample_period_s=1.0 / (2.048e6 * 32))
+            start = time.perf_counter()
+            synthesize(frame, TxMode.METASURFACE, VoltagePhaseCurve(), rc, 32)
+            assert time.perf_counter() - start < 0.1, tau_s

@@ -157,8 +157,24 @@ class TestValidation:
                 SimConfig(**{f.name: bad})
 
     def test_amplitude_whose_frame_power_overflows_rejected(self):
-        with pytest.raises(ValueError, match="^incident_amplitude is too large"):
-            SimConfig(incident_amplitude=1e160)
+        for amplitude in (1e160, 10**200):  # an int's power is not converted to a float
+            with pytest.raises(ValueError, match="^incident_amplitude is too large"):
+                SimConfig(incident_amplitude=amplitude)
+
+    @pytest.mark.parametrize("name,bad", [
+        ("symbol_rate_hz", 10**400),
+        ("tau_s", 10**400),
+        ("link_loss_db", 10**400),
+        ("snr_grid_db", (0.0, 10**400)),
+    ])
+    def test_int_too_large_for_a_float_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            SimConfig(**{name: bad})
+
+    def test_int_values_kept_as_given(self):
+        cfg = SimConfig(tau_s=0, snr_grid_db=(0, 10**300), max_bits=10**400)
+        assert (cfg.tau_s, cfg.snr_grid_db, cfg.max_bits) == (0, (0, 10**300), 10**400)
+        assert type(cfg.tau_s) is int
 
 
 class TestDerivedObjects:

@@ -76,7 +76,8 @@ class TestSweepSpec:
                 SweepSpec(SweepVar.SNR, values=(1.0,), trials=1, modes=modes)
 
     def test_rejects_non_finite_values_and_non_positive_rates(self):
-        for values in ((1.0, math.nan, 2.0), (math.nan,), (1.0, math.inf), (-math.inf, 1.0)):
+        for values in ((1.0, math.nan, 2.0), (math.nan,), (1.0, math.inf), (-math.inf, 1.0),
+                       (10**400,), (-10**400, 1.0)):  # ints too large for a float
             with pytest.raises(ValueError, match="finite"):
                 SweepSpec(SweepVar.SNR, values=values, trials=1)
         with pytest.raises(ValueError, match="positive"):

@@ -20,6 +20,11 @@ there, with the run's own stderr.  Each workload's entry gets `bytes`:
 the number of sets compared and the sets whose files differ between the
 sides.  Every difference is named on stderr, and the tool then exits 1.
 
+Each workload's entry also gets `sweep_walls`: per side, the count, p50
+and p90 of the per-sweep wall times (perfbench's untraced
+`sweep_walls_s`) pooled over all that side's runs, so the tail of a
+sweep shows next to the medians.
+
 After the pairs, one untimed sweep per workload and side, in a fresh
 process, reads `ru_maxrss` of `RUSAGE_SELF` and of `RUSAGE_CHILDREN`:
 perfbench's `peak_rss_mb` does not see a sweep's child processes.
@@ -137,6 +142,18 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def wall_tails(pairs: list[dict]) -> dict:
+    """Count, p50 and p90 of each side's sweep walls, pooled over its runs."""
+    tails = {}
+    for side in ("parent", "change"):
+        walls = [w for p in pairs for w in p[side].get("sweep_walls_s", [])]
+        tails[side] = {"count": len(walls), "p50": None, "p90": None}
+        if len(walls) >= 2:  # a failed run records none
+            deciles = statistics.quantiles(walls, n=10, method="inclusive")
+            tails[side].update(p50=deciles[4], p90=deciles[8])
+    return tails
+
+
 def summarize(pairs: list[dict], declared: list[dict]) -> dict:
     summary = {}
     for metric in declared:
@@ -228,6 +245,7 @@ def main(argv=None) -> int:
             results[workload] = {
                 "all_runs_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
                 "summary": summarize(pairs, declared["end_to_end"]),
+                "sweep_walls": wall_tails(pairs),
                 "pairs": pairs,
                 "memory": {side: children_rss(tree, workload) for side, tree in trees.items()},
                 "bytes": gate,
