@@ -19,6 +19,7 @@ memoized and their arrays are read-only.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, wraps
@@ -102,24 +103,47 @@ class _ArrayKey(tuple):
     """An array argument of a :func:`_frozen` function by value: (dtype, shape, bytes)."""
 
 
+def _array_key(a: np.ndarray) -> _ArrayKey:
+    return _ArrayKey((a.dtype.str, a.shape, a.tobytes()))
+
+
+# id -> (weak reference, key) of every live array a _frozen function has
+# returned.  Such an array is read-only and shared, so its value cannot
+# change and it is keyed without reading its bytes again: the receiver
+# passes frame constants to keyed functions once per frame.
+_ISSUED: dict[int, tuple] = {}
+
+
+def _issue(array: np.ndarray) -> None:
+    array.flags.writeable = False
+    # the callback holds the dict itself: module globals may be gone when it runs at exit
+    key, issued = id(array), _ISSUED
+    issued[key] = (weakref.ref(array, lambda _: issued.pop(key, None)), _array_key(array))
+
+
+def _key(a: np.ndarray) -> _ArrayKey:
+    issued = _ISSUED.get(id(a))
+    return issued[1] if issued is not None and issued[0]() is a else _array_key(a)
+
+
 def _frozen(fn):
     """Memoize ``fn`` and make the arrays it returns, alone or in a tuple,
     read-only, so callers can share them.  An array argument is keyed by
     value, so one changed in place is not served stale; ``fn`` gets a
-    read-only copy of it."""
+    read-only copy of it.  An array that a memoized function returned
+    is keyed by identity, since its value is fixed."""
     @lru_cache(maxsize=64)
     def cached(*args, **kwargs):
         out = fn(*(np.frombuffer(a[2], a[0]).reshape(a[1]) if type(a) is _ArrayKey else a for a in args),
                  **kwargs)
         for array in out if isinstance(out, tuple) else (out,):
             if isinstance(array, np.ndarray):
-                array.flags.writeable = False
+                _issue(array)
         return out
 
     @wraps(fn)
     def call(*args, **kwargs):
-        return cached(*(_ArrayKey((a.dtype.str, a.shape, a.tobytes())) if isinstance(a, np.ndarray) else a
-                        for a in args), **kwargs)
+        return cached(*[_key(a) if isinstance(a, np.ndarray) else a for a in args], **kwargs)
     return call
 
 

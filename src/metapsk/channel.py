@@ -66,8 +66,10 @@ def realized_snr_db(cfg: ChannelConfig) -> float:
 def apply_channel(wave: Waveform, cfg: ChannelConfig, seed) -> Waveform:
     """Scale the waveform per the channel config and add complex AWGN.
 
-    Noise is circularly symmetric and drawn from ``seed``: the same
-    config and seed on the same waveform reproduce the output exactly.
+    Noise is circularly symmetric and drawn from ``seed``, an integer
+    or anything else :func:`numpy.random.default_rng` takes, such as a
+    bit generator: the same config and seed on the same waveform
+    reproduce the output exactly.
     An n-sample frame's noise is 2n standard normals of the seed's
     generator, real parts first, as two successive draws of n would
     give.  A config whose gain or noise power is not a finite positive
@@ -76,28 +78,32 @@ def apply_channel(wave: Waveform, cfg: ChannelConfig, seed) -> Waveform:
     A block of frames (a 2-D waveform) takes one seed per row in
     ``seed``, and each row goes through the channel as its own frame
     would: its own gain and noise power, and the normals of its seed.
+    Any other number of seeds raises :class:`ValueError`.
     """
     x = wave.samples
     n = x.shape[-1]
+    rows = x.reshape(-1, n)
     seeds = [seed] if x.ndim == 1 else list(seed)
-    powers = mean_power(x.reshape(-1, n)).tolist()
+    if len(seeds) != len(rows):
+        raise ValueError(f"{len(rows)} frames need one noise seed each, got {len(seeds)} seeds")
+    powers = mean_power(rows).tolist()
     if 0.0 in powers:
         raise ValueError("input waveform has zero power")
     if cfg.snr_db == math.inf:
         return Waveform(x.copy(), wave.oversampling)
-    out = np.empty_like(x)
-    for row, out_row, p_in, row_seed in zip(x.reshape(-1, n), out.reshape(-1, n), powers, seeds,
-                                            strict=True):
-        if cfg.snr_db is not None:
-            gain = 1.0
-            noise_power = p_in / _db_to_linear(cfg.snr_db, "SNR")
-        else:
-            p_rx = _db_to_linear(cfg.tx_power_dbm - cfg.link_loss_db, "received power")
-            gain = math.sqrt(p_rx / p_in)
-            noise_power = _db_to_linear(cfg.noise_floor_dbm, "noise floor")
+    if cfg.snr_db is not None:
+        snr = _db_to_linear(cfg.snr_db, "SNR")
+        links = [(1.0, p_in / snr) for p_in in powers]
+    else:
+        p_rx = _db_to_linear(cfg.tx_power_dbm - cfg.link_loss_db, "received power")
+        floor = _db_to_linear(cfg.noise_floor_dbm, "noise floor")
+        links = [(math.sqrt(p_rx / p_in), floor) for p_in in powers]
+    for gain, noise_power in links:
         if not (0.0 < gain < math.inf and 0.0 < noise_power < math.inf):
             raise ValueError(f"channel gain {gain} and noise power {noise_power} "
                              "must be finite and positive")
+    out = np.empty_like(x)
+    for row, out_row, (gain, noise_power), row_seed in zip(rows, out.reshape(-1, n), links, seeds):
         normals = np.random.default_rng(row_seed).standard_normal(2 * n)
         normals *= math.sqrt(noise_power / 2.0)
         np.multiply(row, gain, out=out_row)

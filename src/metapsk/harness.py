@@ -38,6 +38,7 @@ from .baseband import FrameLayout, TxMode, build_frame, synthesize
 from .channel import ChannelConfig, apply_channel, realized_snr_db
 from .config import SimConfig, open_utf8
 from .receiver import measure, receive_frame
+from .seeding import bit_generators
 
 SWEEP_RESULTS_NAME = "results.csv"
 SWEEP_MANIFEST_NAME = "manifest.json"
@@ -84,7 +85,7 @@ def default_values(var: SweepVar, cfg: SimConfig) -> tuple[float, ...]:
 
 def derive_seed(master: int, *parts) -> int:
     """Stable 64-bit seed from the master seed and any labels."""
-    text = "|".join([str(master), *(str(p) for p in parts)])
+    text = "|".join(map(str, (master, *parts)))
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -102,6 +103,23 @@ def _channel_for(var: SweepVar, value: float, cfg: SimConfig, mode: TxMode) -> C
     return ChannelConfig(snr_db=cfg.rate_sweep_snr_db, **common)
 
 
+def _payload(generators, n: int) -> np.ndarray:
+    """``n`` payload bits from each bit generator, one uint8 row per generator.
+
+    A row is ``np.random.Generator(g).integers(0, 2, size=n)`` bit for
+    bit, taken from the generator's raw words: for a range of two,
+    numpy's bounded integers keep the top bit of each 32-bit half of a
+    64-bit word, low half first (Lemire's method), so ``n`` bits use
+    ``ceil(n / 2)`` words.
+    """
+    words = np.empty((len(generators), -(-n // 2)), dtype="<u8")  # little-endian: low half first
+    for row, generator in zip(words, generators):
+        row[:] = generator.random_raw(row.size)
+    payload = np.empty((len(generators), n), dtype=np.uint8)
+    np.right_shift(words.view("<u4")[:, :n], 31, out=payload, casting="unsafe")
+    return payload
+
+
 def run_trials(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seeds) -> tuple[list, list]:
     """A block of frames through the chain, one per trial seed, in order.
 
@@ -112,15 +130,15 @@ def run_trials(mode: TxMode, cfg: SimConfig, channel: ChannelConfig, seeds) -> t
     runs in.  Every setting, the symbol rate included, comes from ``cfg``.
     """
     layout = cfg.layout()
-    payload = np.empty((len(seeds), layout.payload_bits), dtype=np.uint8)
-    for row, seed in zip(payload, seeds):
-        row[:] = np.random.default_rng(derive_seed(seed, "payload")).integers(0, 2, size=row.size)
+    # each trial's payload and noise generators, as default_rng(derive_seed(seed, part)) seeds them
+    streams = bit_generators([derive_seed(seed, part) for part in ("payload", "noise") for seed in seeds])
+    payload = _payload(streams[: len(seeds)], layout.payload_bits)
     frame = build_frame(payload, layout)
     wave = synthesize(
         frame, mode, cfg.curve(), cfg.rc(), cfg.oversampling,
         phase_offset_deg=cfg.phase_offset_deg, incident_amplitude=cfg.incident_amplitude,
     )
-    rx = apply_channel(wave, channel, [derive_seed(seed, "noise") for seed in seeds])
+    rx = apply_channel(wave, channel, streams[len(seeds) :])
     del wave  # a block's sample arrays are freed as soon as they are used: peak memory
     received = receive_frame(rx, layout, cfg.sync_threshold)
     del rx

@@ -58,3 +58,37 @@ def test_sweep_wall_tails_need_two_walls():
     tails = bench_pairs.wall_tails([{"parent": {"sweep_walls_s": [1.0]}, "change": {}}])
     assert tails == {"parent": {"count": 1, "p50": None, "p90": None},
                      "change": {"count": 0, "p50": None, "p90": None}}
+
+
+# /proc/stat as a 2-vCPU guest prints it: user nice system idle iowait irq
+# softirq steal guest guest_nice
+PROC_STAT = """\
+cpu  4705 150 1120 1600239 1210 0 73 350 40 0
+cpu0 2355 75 560 800100 605 0 40 175 20 0
+cpu1 2350 75 560 800139 605 0 33 175 20 0
+intr 1462898 0 9 0 0
+ctxt 2950371
+"""
+
+
+def test_cpu_ticks_reads_steal_and_the_total_without_guest_time():
+    # total: user through steal; guest (40) is already in user
+    assert bench_pairs.cpu_ticks(PROC_STAT) == (350, 4705 + 150 + 1120 + 1600239 + 1210 + 73 + 350)
+
+
+def test_cpu_ticks_needs_the_steal_field():
+    with pytest.raises(ValueError):
+        bench_pairs.cpu_ticks("cpu  4705 150 1120 1600239 1210 0 73\n")
+    with pytest.raises(ValueError):
+        bench_pairs.cpu_ticks("cpu0 1 2 3 4 5 6 7 8\n")
+
+
+def test_steal_share_between_two_readings():
+    assert bench_pairs.steal_share((100, 1000), (130, 1200)) == pytest.approx(0.15)
+    assert bench_pairs.steal_share(None, (130, 1200)) is None
+    assert bench_pairs.steal_share((100, 1000), (100, 1000)) is None
+
+
+def test_median_steal_skips_runs_without_a_share():
+    pairs = [{"parent": {"steal_share": s}, "change": {"correct": False}} for s in (0.1, 0.3, 0.2)]
+    assert bench_pairs.median_steal(pairs) == {"parent": 0.2, "change": None}

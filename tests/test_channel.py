@@ -163,6 +163,22 @@ class TestApplyChannel:
         out = apply_channel(wave, ChannelConfig(snr_db=20.0), 0)
         assert out.oversampling == 8
 
+    @pytest.mark.parametrize("snr_db", [math.inf, 10.0])
+    @pytest.mark.parametrize("seeds", [[1], [1, 2, 3, 4]])
+    def test_a_block_needs_one_seed_per_frame(self, snr_db, seeds):
+        """With or without noise: the no-noise return comes after the count check."""
+        block = Waveform(np.ones((3, 16), dtype=complex), 1)
+        with pytest.raises(ValueError, match=f"3 frames need one noise seed each, got {len(seeds)} seeds"):
+            apply_channel(block, ChannelConfig(snr_db=snr_db), seeds)
+
+    def test_a_bit_generator_seeds_like_its_integer(self):
+        wave = Waveform(np.exp(0.3j * np.arange(64)), 1)
+        block = Waveform(np.stack([wave.samples, wave.samples[::-1]]), 1)
+        cfg = ChannelConfig(snr_db=3.0)
+        by_int = apply_channel(block, cfg, [5, 6])
+        by_generator = apply_channel(block, cfg, [np.random.PCG64(5), np.random.PCG64(6)])
+        assert by_int.samples.tobytes() == by_generator.samples.tobytes()
+
 
 class TestSnrPerBit:
     def test_single_sample_per_symbol(self):

@@ -48,6 +48,26 @@ def fast_cfg(**overrides) -> SimConfig:
     return SimConfig(oversampling=1, **overrides)
 
 
+class TestPayload:
+    """``_payload`` takes a frame's bits from its generator's raw words."""
+
+    # 6,912 bits: the default frame; 6,885: data_len 255, an odd count of bits
+    @pytest.mark.parametrize("n", [6912, 6885])
+    def test_raw_word_payload_equals_bounded_integers(self, n):
+        """Bit for bit ``Generator.integers(0, 2, size=n)``, on 1,000 trial seeds.
+
+        This rests on numpy's bounded integers for a range of two (the top
+        bit of each 32-bit half of a raw word): a numpy that changes that
+        path fails here.
+        """
+        seeds = [derive_seed(derive_seed(5, "snr", repr(12.0), i), "payload") for i in range(1000)]
+        payload = harness._payload(harness.bit_generators(seeds), n)
+        assert payload.shape == (1000, n) and payload.dtype == np.uint8
+        for seed, row in zip(seeds, payload):
+            expected = np.random.default_rng(seed).integers(0, 2, size=n)
+            assert np.array_equal(row, expected), seed
+
+
 class TestDeriveSeed:
     def test_frozen_value(self):
         # sha256("271828|metasurface|snr|10.0|0"), first 8 bytes little endian

@@ -25,6 +25,12 @@ and p90 of the per-sweep wall times (perfbench's untraced
 `sweep_walls_s`) pooled over all that side's runs, so the tail of a
 sweep shows next to the medians.
 
+Each run also records `steal_share`: the share of the machine's CPU ticks
+that the hypervisor took (`/proc/stat`'s `steal` over all ticks), read
+before and after the run; nothing is recorded where `/proc/stat` cannot
+be read.  Each workload's entry gets each side's median share
+(`steal_share`), so a slow series can be told apart from a busy host.
+
 After the pairs, one untimed sweep per workload and side, in a fresh
 process, reads `ru_maxrss` of `RUSAGE_SELF` and of `RUSAGE_CHILDREN`:
 perfbench's `peak_rss_mb` does not see a sweep's child processes.
@@ -102,18 +108,60 @@ def checkout(rev: str, into: Path) -> Path:
     return into
 
 
+def cpu_ticks(stat: str) -> tuple[int, int]:
+    """(steal, total) ticks of the aggregate `cpu` line of a `/proc/stat` text.
+
+    The total is the first eight fields, user through steal: the guest
+    fields that follow are already counted in user and nice.
+    """
+    for line in stat.splitlines():
+        fields = line.split()
+        if fields[:1] == ["cpu"] and len(fields) >= 9:
+            ticks = [int(f) for f in fields[1:9]]
+            return ticks[7], sum(ticks)
+    raise ValueError("no aggregate cpu line with a steal field")
+
+
+def read_ticks() -> tuple[int, int] | None:
+    """This machine's (steal, total) ticks so far, or None where they cannot be read."""
+    try:
+        with open("/proc/stat") as fh:
+            return cpu_ticks(fh.read())
+    except (OSError, ValueError):
+        return None
+
+
+def steal_share(before, after) -> float | None:
+    """Stolen ticks over all ticks between two readings; None without both or with no ticks."""
+    if before is None or after is None or after[1] <= before[1]:
+        return None
+    return (after[0] - before[0]) / (after[1] - before[1])
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    before = read_ticks()
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    share = steal_share(before, read_ticks())
+    steal = {} if share is None else {"steal_share": share}
     if proc.returncode != 0:
-        return {"correct": False, "error": proc.stderr.strip().splitlines()[-1:]}
+        return {"correct": False, "error": proc.stderr.strip().splitlines()[-1:], **steal}
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     side_files = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0-full"
     walls = json.loads((side_files / "metrics.json").read_text())["sweep_walls_s"]["untraced"]
     return {"correct": result["correct"],
             **{name: m["value"] for name, m in result["metrics"].items()},
-            "sweep_walls_s": walls}
+            "sweep_walls_s": walls, **steal}
+
+
+def median_steal(pairs: list[dict]) -> dict:
+    """Each side's median steal share over the runs that recorded one, or None."""
+    medians = {}
+    for side in ("parent", "change"):
+        shares = [p[side]["steal_share"] for p in pairs if "steal_share" in p[side]]
+        medians[side] = statistics.median(shares) if shares else None
+    return medians
 
 
 def children_rss(tree: Path, workload: str) -> dict:
@@ -246,6 +294,7 @@ def main(argv=None) -> int:
                 "all_runs_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
                 "summary": summarize(pairs, declared["end_to_end"]),
                 "sweep_walls": wall_tails(pairs),
+                "steal_share": median_steal(pairs),
                 "pairs": pairs,
                 "memory": {side: children_rss(tree, workload) for side, tree in trees.items()},
                 "bytes": gate,
