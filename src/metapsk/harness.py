@@ -85,7 +85,7 @@ def default_values(var: SweepVar, cfg: SimConfig) -> tuple[float, ...]:
 
 def derive_seed(master: int, *parts) -> int:
     """Stable 64-bit seed from the master seed and any labels."""
-    text = "|".join(map(str, (master, *parts)))
+    text = "|".join([str(master), *(str(p) for p in parts)])
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "little")
 

@@ -323,18 +323,11 @@ def measure(received, ref_bits: np.ndarray, ref_symbols: np.ndarray):
     error = constellation().take(symbols)
     for row, frame in zip(error, frames):
         np.subtract(frame.eq_data, row, out=row)
-    # mean_power(constellation()[symbols]) of each frame, from each point's
-    # power.  The unrotated points all square to the same power (exactly
-    # 1.0 where hypot is correctly rounded), and then every frame's is the
-    # mean of n_syms copies of it.
-    power = _point_power()
-    if power.min() == power.max():
-        nearest = [float(np.add.reduce(np.full(n_syms, power[0])) / n_syms)] * len(frames)
-    else:
-        nearest = (np.add.reduce(power.take(symbols), axis=1) / n_syms).tolist()
+    # mean_power(constellation()[symbols]), from each point's power
+    nearest = np.add.reduce(_point_power().take(symbols), axis=1) / n_syms
     rows = zip(frames, np.add.reduce(distance, axis=1).tolist(),
                np.add.reduce(distance != 0, axis=1).tolist(),
-               mean_power(error).tolist(), nearest)
+               mean_power(error).tolist(), nearest.tolist())
     metrics = (
         LinkMetrics(
             ber=errors / n_bits,

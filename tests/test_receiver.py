@@ -16,7 +16,6 @@ from metapsk.baseband import (
     TxMode,
     Waveform,
     constellation,
-    mean_power,
     pilot_symbols,
     symbols_to_bits,
     sync_symbols,
@@ -497,21 +496,6 @@ def synthetic_received(decided, offset_deg=0.0, est_snr_db=math.inf):
 
 
 class TestMeasure:
-    @pytest.mark.parametrize("point_power", [None, np.array([1.0, 2.0, 0.5, 1.0, 1.0, 3.0, 1.0, 0.25])])
-    def test_evm_reference_is_the_decisions_mean_power(self, monkeypatch, point_power):
-        """EVM divides by the mean power of the decided points, whether or not the points share one power."""
-        if point_power is not None:
-            monkeypatch.setattr(receiver, "_point_power", lambda: point_power)
-        rng = np.random.default_rng(4)
-        decided = rng.integers(0, 8, size=(3, 96))
-        frames = [replace(synthetic_received(d), eq_data=constellation()[d] + 0.1 * rng.standard_normal(96))
-                  for d in decided]
-        metrics = measure(frames, np.zeros(3 * 288, dtype=np.uint8), decided)
-        for frame, d, m in zip(frames, decided, metrics):
-            power = np.abs(constellation()) ** 2 if point_power is None else point_power
-            error = mean_power(frame.eq_data - constellation()[d])
-            assert m.evm_rms_pct == math.sqrt(error / float(np.mean(power[d]))) * 100.0
-
     def test_perfect_frame(self):
         ref = np.arange(8).repeat(4)
         metrics = measure(synthetic_received(ref), symbols_to_bits(ref), ref)
