@@ -111,19 +111,19 @@ def _array_key(a: np.ndarray) -> _ArrayKey:
 # returned.  Such an array is read-only and shared, so its value cannot
 # change and it is keyed without reading its bytes again: the receiver
 # passes frame constants to keyed functions once per frame.
-_ISSUED: dict[int, tuple] = {}
+_FROZEN_ARRAYS: dict[int, tuple] = {}
 
 
-def _issue(array: np.ndarray) -> None:
+def _freeze(array: np.ndarray) -> None:
     array.flags.writeable = False
     # the callback holds the dict itself: module globals may be gone when it runs at exit
-    key, issued = id(array), _ISSUED
-    issued[key] = (weakref.ref(array, lambda _: issued.pop(key, None)), _array_key(array))
+    key, frozen = id(array), _FROZEN_ARRAYS
+    frozen[key] = (weakref.ref(array, lambda _: frozen.pop(key, None)), _array_key(array))
 
 
 def _key(a: np.ndarray) -> _ArrayKey:
-    issued = _ISSUED.get(id(a))
-    return issued[1] if issued is not None and issued[0]() is a else _array_key(a)
+    frozen = _FROZEN_ARRAYS.get(id(a))
+    return frozen[1] if frozen is not None and frozen[0]() is a else _array_key(a)
 
 
 def _frozen(fn):
@@ -138,7 +138,7 @@ def _frozen(fn):
                  **kwargs)
         for array in out if isinstance(out, tuple) else (out,):
             if isinstance(array, np.ndarray):
-                _issue(array)
+                _freeze(array)
         return out
 
     @wraps(fn)

@@ -59,11 +59,14 @@ class _StateWords(ISeedSequence):
 
 def _state_words(seeds) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` of each seed, one row each."""
+    # fill: pool word i is the hash of entropy word i (the seed's low and
+    # high words, then zeros)
     pool = np.zeros((4, len(seeds)), dtype=np.uint32)
     pool[:2] = np.array(seeds, dtype="<u8").view("<u4").reshape(-1, 2).T
     pool ^= _POOL_HASH[0:4]
     pool *= _POOL_HASH[1:5]
     pool ^= pool >> 16
+    # mix: each word's hash into every other word, in SeedSequence's order
     for src, dst in enumerate(_OTHERS):
         k = 4 + 3 * src
         h = pool[src] ^ _POOL_HASH[k : k + 3]
@@ -75,6 +78,7 @@ def _state_words(seeds) -> np.ndarray:
         mixed -= h
         mixed ^= mixed >> 16
         pool[dst] = mixed
+    # output: 8 words, each the hash of a pool word, cycling through the pool
     words = pool[_POOL_CYCLE]
     words ^= _OUT_HASH[0:8]
     words *= _OUT_HASH[1:9]

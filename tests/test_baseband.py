@@ -214,11 +214,11 @@ class TestTrainingSequences:
         from metapsk import baseband
 
         array = np.arange(3.0)
-        baseband._issue(array)
+        baseband._freeze(array)
         key = id(array)
-        assert baseband._ISSUED[key][0]() is array and not array.flags.writeable
+        assert baseband._FROZEN_ARRAYS[key][0]() is array and not array.flags.writeable
         del array
-        assert key not in baseband._ISSUED
+        assert key not in baseband._FROZEN_ARRAYS
 
     def test_training_symbols_and_centres(self):
         layout = FrameLayout(sync_len=5, pilot_len=3, data_len=2)
