@@ -3,8 +3,8 @@
 ``np.random.PCG64(seed)``, like ``np.random.default_rng(seed)``, hashes
 an integer seed through a :class:`numpy.random.SeedSequence` into the
 generator's four 64-bit state words.  At oversampling 1 that hashing,
-twice a trial, costs about as much as a frame's receiver, and almost all
-of it is per-call overhead.  :func:`bit_generators` hashes the seeds of a
+twice a trial, is about a tenth of the trial, almost all of it per-call
+overhead.  :func:`bit_generators` hashes the seeds of a
 block together, as uint32 array arithmetic, and hands each PCG64 its
 words through numpy's :class:`~numpy.random.bit_generator.ISeedSequence`
 interface: each generator is ``PCG64(seed)``'s, bit for bit.
