@@ -93,17 +93,20 @@ def apply_channel(wave: Waveform, cfg: ChannelConfig, seed) -> Waveform:
         return Waveform(x.copy(), wave.oversampling)
     if cfg.snr_db is not None:
         snr = _db_to_linear(cfg.snr_db, "SNR")
-        links = [(1.0, p_in / snr) for p_in in powers]
     else:
         p_rx = _db_to_linear(cfg.tx_power_dbm - cfg.link_loss_db, "received power")
-        floor = _db_to_linear(cfg.noise_floor_dbm, "noise floor")
-        links = [(math.sqrt(p_rx / p_in), floor) for p_in in powers]
-    for gain, noise_power in links:
+        noise_floor = _db_to_linear(cfg.noise_floor_dbm, "noise floor")
+    out = np.empty_like(x)
+    for row, out_row, p_in, row_seed in zip(rows, out.reshape(-1, n), powers, seeds):
+        if cfg.snr_db is not None:
+            gain = 1.0
+            noise_power = p_in / snr
+        else:
+            gain = math.sqrt(p_rx / p_in)
+            noise_power = noise_floor
         if not (0.0 < gain < math.inf and 0.0 < noise_power < math.inf):
             raise ValueError(f"channel gain {gain} and noise power {noise_power} "
                              "must be finite and positive")
-    out = np.empty_like(x)
-    for row, out_row, (gain, noise_power), row_seed in zip(rows, out.reshape(-1, n), links, seeds):
         normals = np.random.default_rng(row_seed).standard_normal(2 * n)
         normals *= math.sqrt(noise_power / 2.0)
         np.multiply(row, gain, out=out_row)
