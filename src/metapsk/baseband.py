@@ -14,12 +14,12 @@ is ``phase_offset_deg + k * 45 deg``.
 
 The frame constants (constellation, sync and pilot symbols) are built
 once per argument and shared: the functions that return them are
-memoized and their arrays are read-only.
+memoized on hashable arguments (an array goes in as its bytes) and
+their arrays are read-only.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, wraps
@@ -99,52 +99,20 @@ def mean_power(samples: np.ndarray):
     return float(means) if power.ndim == 1 else means
 
 
-class _ArrayKey(tuple):
-    """An array argument of a :func:`_frozen` function by value: (dtype, shape, bytes)."""
-
-
-def _array_key(a: np.ndarray) -> _ArrayKey:
-    return _ArrayKey((a.dtype.str, a.shape, a.tobytes()))
-
-
-# id -> (weak reference, key) of every live array a _frozen function has
-# returned.  Such an array is read-only and shared, so its value cannot
-# change and it is keyed without reading its bytes again: the receiver
-# passes frame constants to keyed functions once per frame.
-_FROZEN_ARRAYS: dict[int, tuple] = {}
-
-
-def _freeze(array: np.ndarray) -> None:
-    array.flags.writeable = False
-    # the callback holds the dict itself: module globals may be gone when it runs at exit
-    key, frozen = id(array), _FROZEN_ARRAYS
-    frozen[key] = (weakref.ref(array, lambda _: frozen.pop(key, None)), _array_key(array))
-
-
-def _key(a: np.ndarray) -> _ArrayKey:
-    frozen = _FROZEN_ARRAYS.get(id(a))
-    return frozen[1] if frozen is not None and frozen[0]() is a else _array_key(a)
-
-
 def _frozen(fn):
     """Memoize ``fn`` and make the arrays it returns, alone or in a tuple,
-    read-only, so callers can share them.  An array argument is keyed by
-    value, so one changed in place is not served stale; ``fn`` gets a
-    read-only copy of it.  An array that a memoized function returned
-    is keyed by identity, since its value is fixed."""
+    read-only, so callers can share them.  The arguments are the cache
+    keys, so they must be hashable values: an array goes in as its
+    bytes, and one changed in place then gives a new key."""
     @lru_cache(maxsize=64)
+    @wraps(fn)
     def cached(*args, **kwargs):
-        out = fn(*(np.frombuffer(a[2], a[0]).reshape(a[1]) if type(a) is _ArrayKey else a for a in args),
-                 **kwargs)
+        out = fn(*args, **kwargs)
         for array in out if isinstance(out, tuple) else (out,):
             if isinstance(array, np.ndarray):
-                _freeze(array)
+                array.flags.writeable = False
         return out
-
-    @wraps(fn)
-    def call(*args, **kwargs):
-        return cached(*[_key(a) if isinstance(a, np.ndarray) else a for a in args], **kwargs)
-    return call
+    return cached
 
 
 @_frozen

@@ -18,9 +18,10 @@ one lag, as in every sweep (the channel adds no delay, so the frame can
 only start at sample 0), the peak is that lag's normalized dot product.
 A window of several lags is correlated at all lags at once by FFT.  The
 frame constants the receiver compares against (the sync reference and
-its norm, the training and pilot references and their energies, the
-mid-symbol offsets) are built once per frame format and shared.  Bit
-errors are counted from the symbol decisions, each adding its Gray
+its norm, the training and pilot references, the pilot power, the
+mid-symbol offsets) are built once per frame format and shared; the
+training energy, the gain estimate's denominator, is summed per frame.
+Bit errors are counted from the symbol decisions, each adding its Gray
 distance to the sent symbol.
 """
 
@@ -63,16 +64,11 @@ class SyncError(RuntimeError):
 
 
 @_frozen
-def _sync_reference(sync_syms: np.ndarray, oversampling: int) -> tuple[np.ndarray, float]:
-    """The oversampled sync subframe on the unrotated constellation, and its norm."""
-    ref = np.repeat(constellation()[sync_syms], oversampling)
+def _sync_reference(sync_syms: bytes, oversampling: int) -> tuple[np.ndarray, float]:
+    """The oversampled sync subframe on the unrotated constellation, and its
+    norm; ``sync_syms`` are the symbol indices as uint8 bytes."""
+    ref = np.repeat(constellation()[np.frombuffer(sync_syms, np.uint8)], oversampling)
     return ref, float(np.linalg.norm(ref))
-
-
-@_frozen
-def _energy(ref: np.ndarray) -> float:
-    """Sum of squared magnitudes: the denominator of the LS gain estimate."""
-    return float(np.sum(np.abs(ref) ** 2))
 
 
 @dataclass(frozen=True)
@@ -100,9 +96,10 @@ def synchronize(
     energy.  A longer window is correlated at every lag by FFT, and
     peaks equal within float resolution resolve to the earliest lag.  A
     best peak below ``threshold``, or a NaN peak (from a NaN or infinite
-    sample in the window), raises :class:`SyncError`.
+    sample in the window), raises :class:`SyncError`.  Sync symbols
+    other than integers in 0..7 raise :class:`ValueError`.
     """
-    ref, ref_norm = _sync_reference(np.asarray(sync_syms), wave.oversampling)
+    ref, ref_norm = _sync_reference(as_indices(sync_syms, 8, "sync symbols").tobytes(), wave.oversampling)
     r = wave.samples
     if r.size < ref.size:
         raise SyncError("waveform shorter than the sync reference")
@@ -142,14 +139,18 @@ class ChannelEstimate:
 
 
 def estimate_channel(rx_pilot: np.ndarray, pilot_ref: np.ndarray) -> ChannelEstimate:
-    """Single-tap least squares: gain = <ref, rx> / <ref, ref>."""
+    """Single-tap least squares: gain = <ref, rx> / <ref, ref>.
+
+    A reference whose energy <ref, ref> is zero, NaN or infinite raises
+    :class:`ValueError`.
+    """
     rx_pilot = np.asarray(rx_pilot)
     pilot_ref = np.asarray(pilot_ref)
     if rx_pilot.shape != pilot_ref.shape or rx_pilot.size == 0:
         raise ValueError("pilot and reference must be equal-length, non-empty")
-    denom = _energy(pilot_ref)
-    if denom == 0.0:
-        raise ValueError("pilot reference has zero energy")
+    denom = np.add.reduce(np.square(np.abs(pilot_ref)), axis=None)  # np.sum(np.abs(ref) ** 2)
+    if not 0.0 < denom < math.inf:
+        raise ValueError("pilot reference must have finite, nonzero energy")
     return ChannelEstimate(gain=complex(np.vdot(pilot_ref, rx_pilot) / denom))
 
 

@@ -11,14 +11,16 @@ uses nothing else of the package.  The bias lag is
 
 :func:`run_trial` returns ``(received, metrics)`` as the package's
 ``run_trial`` does, or raises :class:`ReferenceSyncError` with the text
-the package's ``SyncError`` carries.
+the package's ``SyncError`` carries.  :func:`run_point` runs one sweep
+point on it, one trial at a time, and returns the row
+:func:`metapsk.harness.run_point` writes, column by column.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -252,3 +254,65 @@ def run_trial(conventional: bool, cfg, channel, seed: int) -> tuple[ReceivedFram
     received = receive_frame(rx, cfg)
     data = symbols[cfg.sync_len + cfg.pilot_len:]
     return received, measure(received, payload, data)
+
+
+# sweep point
+
+
+def _point_channel(mode: str, var: str, value: float, cfg) -> SimpleNamespace:
+    link_loss_db = cfg.link_loss_db
+    if mode == "metasurface":
+        link_loss_db += cfg.reflectivity_loss_db + cfg.modulation_excess_loss_db
+    snr_db = {"snr": value, "power": None, "rate": cfg.rate_sweep_snr_db}[var]
+    return SimpleNamespace(snr_db=snr_db, tx_power_dbm=value if var == "power" else None,
+                           link_loss_db=link_loss_db, noise_floor_dbm=cfg.noise_floor_dbm)
+
+
+def run_point(mode: str, var: str, value: float, cfg, master_seed: int, trials: int,
+              paired: bool = False) -> dict:
+    """One sweep point as a dict of ``results.csv`` columns; ``mode`` and ``var`` by their values.
+
+    Trial t runs the seed of (master seed, mode unless paired, var,
+    repr(value), t).  Unless the point is paired, it stops after the
+    first trial at which it has ``cfg.min_errors`` bit errors or
+    ``cfg.max_bits`` bits.  A trial whose sync failed counts as a sync
+    failure and adds nothing else.
+    """
+    if var == "rate":
+        cfg = replace(cfg, symbol_rate_hz=value)
+    channel = _point_channel(mode, var, value, cfg)
+    labels = (var, repr(float(value))) if paired else (mode, var, repr(float(value)))
+    frames, failures = [], 0
+    for trial in range(trials):
+        try:
+            _, metrics = run_trial(mode == "conventional", cfg, channel,
+                                   derive_seed(master_seed, *labels, trial))
+        except ReferenceSyncError:
+            failures += 1
+        else:
+            frames.append(metrics)
+        bits = sum(m.bits_compared for m in frames)
+        bit_errors = sum(m.bit_errors for m in frames)
+        if not paired and (bit_errors >= cfg.min_errors or bits >= cfg.max_bits):
+            break
+
+    ber = ser = evm = est_snr = math.nan
+    if frames:
+        symbols = sum(m.symbols_compared for m in frames)
+        evm_sq_sum = snr_lin_sum = 0.0
+        for m in frames:  # left to right
+            evm_sq_sum += m.evm_rms_pct**2 * m.symbols_compared
+            snr_lin_sum += 10.0 ** (m.est_snr_db / 10.0)
+        ber = bit_errors / bits
+        ser = sum(m.symbol_errors for m in frames) / symbols
+        evm = float(np.sqrt(evm_sq_sum / symbols))
+        est_snr = float(10.0 * np.log10(snr_lin_sum / len(frames)))
+    if channel.snr_db is not None:
+        snr_db = channel.snr_db
+    else:
+        snr_db = channel.tx_power_dbm - channel.link_loss_db - channel.noise_floor_dbm
+    return dict(mode=mode, sweep_var=var, value=value, symbol_rate_hz=cfg.symbol_rate_hz,
+                snr_db=snr_db, tx_power_dbm=channel.tx_power_dbm, ber=ber, ser=ser,
+                evm_rms_pct=evm, est_snr_db=est_snr, bits=bits, bit_errors=bit_errors,
+                frames=len(frames), sync_failures=failures,
+                low_confidence=bit_errors < cfg.min_errors)

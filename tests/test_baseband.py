@@ -196,30 +196,6 @@ class TestTrainingSequences:
         assert constellation(phase_offset_deg=22.5) is shared
         np.testing.assert_array_equal(shared, constellation(22.5))
 
-    def test_a_shared_constant_is_keyed_without_reading_its_bytes(self, monkeypatch):
-        """An array a memoized function returned is its own key; any other array is keyed by value."""
-        from metapsk import baseband
-        from metapsk.receiver import _sync_reference
-
-        sync = sync_symbols(64)
-        ref, _ = _sync_reference(sync, 8)
-        read, by_value = [], baseband._array_key
-        monkeypatch.setattr(baseband, "_array_key", lambda a: read.append(a) or by_value(a))
-        assert _sync_reference(sync, 8)[0] is ref
-        assert read == []
-        assert _sync_reference(sync.copy(), 8)[0] is ref
-        assert len(read) == 1
-
-    def test_a_constant_leaves_the_identity_keys_when_it_is_freed(self):
-        from metapsk import baseband
-
-        array = np.arange(3.0)
-        baseband._freeze(array)
-        key = id(array)
-        assert baseband._FROZEN_ARRAYS[key][0]() is array and not array.flags.writeable
-        del array
-        assert key not in baseband._FROZEN_ARRAYS
-
     def test_training_symbols_and_centres(self):
         layout = FrameLayout(sync_len=5, pilot_len=3, data_len=2)
         np.testing.assert_array_equal(

@@ -1,4 +1,5 @@
-"""The claim rule and the sweep-wall tails of ``tools/bench_pairs.py``, loaded by path."""
+"""The claim rule, the sweep-wall tails and the set-up probe summary of
+``tools/bench_pairs.py``, loaded by path."""
 
 import importlib.util
 import json
@@ -92,3 +93,14 @@ def test_steal_share_between_two_readings():
 def test_median_steal_skips_runs_without_a_share():
     pairs = [{"parent": {"steal_share": s}, "change": {"correct": False}} for s in (0.1, 0.3, 0.2)]
     assert bench_pairs.median_steal(pairs) == {"parent": 0.2, "change": None}
+
+
+def test_probe_summary_pairs_the_kth_probes():
+    parent = [0.20, 0.10, 0.30, 0.40, 0.15]
+    change = [0.10, 0.20, 0.25, 0.40, 0.30]
+    summary = bench_pairs.probe_summary(parent, change)
+    # sorted parent 0.10 0.15 0.20 0.30 0.40, change 0.10 0.20 0.25 0.30 0.40
+    assert summary["parent"] == {"count": 5, "q1": 0.15, "median": 0.20, "q3": 0.30, "samples_s": parent}
+    assert summary["change"] == {"count": 5, "q1": 0.20, "median": 0.25, "q3": 0.30, "samples_s": change}
+    assert summary["median_ratio"] == pytest.approx(1.25)
+    assert summary["change_wins"] == 2  # probes 0 and 2; probe 3 is a tie

@@ -79,6 +79,16 @@ class TestSynchronize:
         with pytest.raises(SyncError):
             synchronize(wave, sync_symbols(64))
 
+    @pytest.mark.parametrize("sync", [
+        np.where(sync_symbols(64) == 4, -4, 0),  # wrapped to index 4 by fancy indexing
+        sync_symbols(64) * 3,  # index 12 is out of bounds
+        sync_symbols(64).astype(float),  # a float array is not an index array
+    ], ids=["negative", "eight-or-more", "float"])
+    def test_sync_symbols_outside_the_alphabet_rejected(self, sync):
+        _, _, wave = frame_wave(0)
+        with pytest.raises(ValueError, match="sync symbols must be integers in 0..7"):
+            synchronize(wave, sync)
+
     def test_tie_breaks_to_earliest(self):
         _, _, wave = frame_wave(5)
         doubled = replace(wave, samples=np.tile(wave.samples, 2))
@@ -237,6 +247,13 @@ class TestEstimateChannel:
         with pytest.raises(ValueError):
             estimate_channel(np.ones(4, dtype=complex), np.zeros(4, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_reference_rejected_before_the_divide(self, bad):
+        ref = constellation()[pilot_symbols(32)].copy()
+        ref[5] = bad
+        with pytest.raises(ValueError, match="pilot reference must have finite, nonzero energy"):
+            estimate_channel(np.ones(32, dtype=complex), ref)
+
     def test_zero_gain_rejected(self):
         with pytest.raises(ValueError):
             ChannelEstimate(gain=0.0 + 0.0j)
@@ -266,8 +283,9 @@ class TestFrameConstants:
         layout = FrameLayout()
         ref = receiver._frame_reference(layout, 1)
         assert receiver._frame_reference(FrameLayout(), 1) is ref
-        sync_ref, _ = receiver._sync_reference(sync_symbols(64), 8)
-        assert receiver._sync_reference(sync_symbols(64).copy(), 8)[0] is sync_ref  # keyed by value
+        sync_ref, _ = receiver._sync_reference(sync_symbols(64).astype(np.uint8).tobytes(), 8)
+        # keyed by value: a copy's bytes get the same reference
+        assert receiver._sync_reference(sync_symbols(64).astype(np.uint8).tobytes(), 8)[0] is sync_ref
         for array in (ref.train_ref, ref.pilot_ref, sync_ref):
             assert not array.flags.writeable
 
@@ -277,6 +295,15 @@ class TestFrameConstants:
         assert estimate_channel(rx, ref).gain == pytest.approx(2.0, rel=1e-12)
         ref *= 2.0  # the same array object, new contents
         assert estimate_channel(rx, ref).gain == pytest.approx(1.0, rel=1e-12)
+
+    def test_sync_symbols_changed_in_place_are_not_served_stale(self):
+        _, _, wave = frame_wave(0)
+        sync = sync_symbols(64).copy()
+        before = synchronize(wave, sync, threshold=0.0)
+        sync[:32] = 4 - sync[:32]  # the same array object, half its chips flipped
+        after = synchronize(wave, sync, threshold=0.0)
+        assert after == synchronize(wave, sync.copy(), threshold=0.0)
+        assert after.peak < 0.5 < before.peak
 
 
 class TestDemodulate:

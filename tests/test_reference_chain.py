@@ -6,20 +6,26 @@ trial seeds.  Every trial of the block must come out of
 :func:`reference_chain.run_trial` alone: the same ``eq_data`` bytes,
 decisions and bits, the same :class:`~metapsk.receiver.LinkMetrics`,
 or a sync failure with the same text.
+
+Each point case must come out of :func:`metapsk.harness.run_point` as
+it comes out of :func:`reference_chain.run_point`, column by column,
+with its blocks run in this process and with a forked trial worker.
 """
 
 import math
-from dataclasses import astuple
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 from hypothesis import given, settings
+import pytest
 from hypothesis import strategies as st
 
 import reference_chain
 from metapsk.baseband import TxMode
 from metapsk.channel import ChannelConfig
 from metapsk.config import SimConfig
-from metapsk.harness import run_trials
+from metapsk import harness
+from metapsk.harness import SweepVar, run_point, run_trials
 
 RATES = (0.256e6, 0.512e6, 1.024e6, 2.048e6, 4.096e6)
 
@@ -71,3 +77,59 @@ def test_every_outcome_equals_the_reference(cfg, channel, mode, seeds):
         assert np.array_equal(frame.bits, ref_frame.bits)
         assert (frame.sync.frame_start, frame.sync.peak) == (ref_frame.frame_start, ref_frame.peak)
         assert frame.estimate.gain == ref_frame.gain
+
+
+# 96 symbols, 216 payload bits: a block holds every trial of a point
+SMALL = SimConfig(oversampling=1, sync_len=16, pilot_len=8, data_len=8)
+# 600 symbols at oversampling 4, 1,728 payload bits: blocks of 8 trials
+EIGHTS = SimConfig(oversampling=4, sync_len=16, pilot_len=8, data_len=64)
+
+# (mode, var, value, cfg, trials, paired, what the reference row must show)
+POINTS = {
+    # stopped by min_errors, with sync failures among the trials taken
+    "early-stopped": ("metasurface", "power", -42.0, replace(SMALL, min_errors=150, sync_threshold=0.6),
+                      30, False, lambda r: r["bit_errors"] >= 150 and r["sync_failures"] > 0
+                      and r["frames"] + r["sync_failures"] < 30),
+    "capped by trials": ("conventional", "snr", 30.0, SMALL, 5, False,
+                         lambda r: r["frames"] == 5 and r["low_confidence"]),
+    "stopped by max_bits": ("conventional", "snr", 30.0, replace(SMALL, max_bits=500), 10, False,
+                            lambda r: r["frames"] == 3 and r["bits"] == 648),
+    # every trial runs, although the first frame's errors reach min_errors
+    "paired": ("metasurface", "rate", 4.096e6, replace(SMALL, min_errors=1, rate_sweep_snr_db=6.0), 4,
+               True, lambda r: r["frames"] + r["sync_failures"] == 4 and r["bit_errors"] > 1),
+    # the stop in this process's first block, the worker's block still in flight
+    "stop in the first block of 8": ("conventional", "snr", 20.0, replace(EIGHTS, max_bits=3 * 1728),
+                                     32, False, lambda r: r["frames"] == 3),
+    # the stop in the worker's block, trials 8-15
+    "stop in the second block of 8": ("conventional", "snr", 20.0, replace(EIGHTS, max_bits=11 * 1728),
+                                      32, False, lambda r: r["frames"] == 11),
+    "every frame fails sync": ("conventional", "snr", -10.0, replace(SMALL, sync_threshold=0.95), 6,
+                               False, lambda r: r["sync_failures"] == 6 and math.isnan(r["ber"])),
+}
+
+
+def _same(a, b):
+    return a == b or (isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b))
+
+
+@pytest.fixture(scope="module")
+def trial_worker():
+    worker = harness._TrialWorker()
+    yield worker
+    worker.close()
+
+
+@pytest.mark.parametrize("with_worker", [False, True], ids=["serial", "worker"])
+@pytest.mark.parametrize("case", POINTS)
+def test_every_point_column_equals_the_reference(case, with_worker, request):
+    mode, var, value, cfg, trials, paired, shows = POINTS[case]
+    want = reference_chain.run_point(mode, var, value, cfg, 5, trials, paired)
+    assert shows(want)
+    worker = request.getfixturevalue("trial_worker") if with_worker else None
+    sent = worker._sent if worker else 0
+    got = asdict(run_point(TxMode(mode), SweepVar(var), value, cfg, 5, trials, paired, worker=worker))
+    if worker and cfg.oversampling == EIGHTS.oversampling:
+        assert worker._sent > sent  # the worker ran the second block
+    got.update(mode=got["mode"].value, sweep_var=got["sweep_var"].value)
+    assert got.keys() == want.keys()
+    assert [name for name in want if not _same(got[name], want[name])] == [], (got, want)

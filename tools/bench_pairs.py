@@ -31,6 +31,15 @@ before and after the run; nothing is recorded where `/proc/stat` cannot
 be read.  Each workload's entry gets each side's median share
 (`steal_share`), so a slow series can be told apart from a busy host.
 
+After a workload's pairs, `SETUP_PROBES` fresh `perfbench/worker.py
+--setup-only` processes per side, alternating sides, each timed as
+`perfbench/run.py` times one: from just before the process starts to the
+`setup_end` it prints.  Probe k of each side uses input set k.  The
+workload's entry gets `setup_probes`: each side's count, quartiles and
+samples, the median ratio and the probes the change won (was faster
+in).  A run's own `setup_s` is the median of five samples from that
+run alone, so the two sides' `setup_s` are taken at different times.
+
 After the pairs, one untimed sweep per workload and side, in a fresh
 process, reads `ru_maxrss` of `RUSAGE_SELF` and of `RUSAGE_CHILDREN`:
 perfbench's `peak_rss_mb` does not see a sweep's child processes.
@@ -50,6 +59,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +68,7 @@ RUN = "python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds} --
 PROTOCOL = ("pairs per workload, parent and change run from separate checkouts; even pairs run "
             "the parent first, odd pairs the change first; pair i uses seed base+i; quartiles by "
             "statistics.quantiles(method='inclusive')")
+SETUP_PROBES = 20  # set-up probes per side and workload
 
 # One sweep of a workload's full size in this process, then the peak RSS
 # of this process and of its reaped children, in MB.
@@ -169,6 +180,33 @@ def children_rss(tree: Path, workload: str) -> dict:
                          capture_output=True, text=True, env={**os.environ, **THREADS}).stdout
     rss = json.loads(out)
     return {"self_maxrss_mb": rss["RUSAGE_SELF"], "children_maxrss_mb": rss["RUSAGE_CHILDREN"]}
+
+
+def setup_probe(tree: Path, workload: str, input_set: int) -> float:
+    """Seconds from the start of a fresh set-up-only worker to the end of its set-up."""
+    argv = [sys.executable, "perfbench/worker.py", "--workload", workload, "--size", "full",
+            "--input-set", str(input_set), "--out", str(tree / "perfbench" / "out"), "--setup-only"]
+    started = time.perf_counter()
+    out = subprocess.run(argv, cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
+                         env={**os.environ, **THREADS}).stdout
+    return json.loads(out.strip().splitlines()[-1])["setup_end"] - started
+
+
+def setup_probes(trees: dict, workload: str) -> dict:
+    """``SETUP_PROBES`` probes per side, alternating which side goes first."""
+    probes = {"parent": [], "change": []}
+    for k in range(SETUP_PROBES):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            probes[side].append(setup_probe(trees[side], workload, k))
+    return probe_summary(probes["parent"], probes["change"])
+
+
+def probe_summary(parent: list[float], change: list[float]) -> dict:
+    """Each side's count, quartiles and samples; the median ratio; the probes the change won."""
+    sides = {side: {"count": len(values), **quartiles(values), "samples_s": values}
+             for side, values in (("parent", parent), ("change", change))}
+    return {**sides, "median_ratio": sides["change"]["median"] / sides["parent"]["median"],
+            "change_wins": sum(b < a for a, b in zip(parent, change))}
 
 
 def byte_gate(trees: dict, workload: str) -> dict:
@@ -295,6 +333,7 @@ def main(argv=None) -> int:
                 "summary": summarize(pairs, declared["end_to_end"]),
                 "sweep_walls": wall_tails(pairs),
                 "steal_share": median_steal(pairs),
+                "setup_probes": setup_probes(trees, workload),
                 "pairs": pairs,
                 "memory": {side: children_rss(tree, workload) for side, tree in trees.items()},
                 "bytes": gate,
