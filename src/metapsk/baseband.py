@@ -202,12 +202,6 @@ def training_symbols(layout: FrameLayout) -> np.ndarray:
     return np.concatenate([sync_symbols(layout.sync_len), pilot_symbols(layout.pilot_len)])
 
 
-@_frozen
-def symbol_centres(layout: FrameLayout, oversampling: int) -> np.ndarray:
-    """Sample offset of each symbol's middle sample from the frame start."""
-    return np.arange(layout.total_symbols) * oversampling + oversampling // 2
-
-
 @dataclass(frozen=True)
 class Frame:
     """One frame's symbol indices, or a block of frames' with a leading row axis."""

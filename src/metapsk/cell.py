@@ -218,6 +218,9 @@ def voltage_trajectory(rc: RcDynamics, levels, symbols, oversampling: int) -> np
     n = symbols.size
     charge = ((1.0 - a) * levels).take(symbols)
     start = a * levels[symbols[0]]
+    # A frame too long to hold fails here, before the lag's work, which
+    # grows with oversampling.  Freed at once, so that work reuses it.
+    np.empty((n, oversampling))
     if (a**oversampling) ** _LAG_REPAIR_ROUNDS >= 2.0**-53:
         entry = np.array(_walk(start, charge, oversampling, a))
     else:

@@ -94,8 +94,11 @@ class SimConfig:
         # The per-module objects validate their own fields.
         for build in (self.curve, self.rc, self.geometry, self.layout):
             build()
-        # a frame's power sums at most incident_amplitude**2 over its samples
         a, samples = self.incident_amplitude, self.layout().total_symbols * self.oversampling
+        # a frame is one array of samples, which numpy counts in a signed index
+        if samples > sys.maxsize:
+            raise ValueError(f"a frame of {samples} samples is more than an array can hold")
+        # a frame's power sums at most incident_amplitude**2 over its samples
         if not abs(a * a * samples) <= sys.float_info.max:
             raise ValueError("incident_amplitude is too large: a frame's power is not finite")
 

@@ -186,13 +186,6 @@ class PointResult:
 _BLOCK_SAMPLES = 8 * FrameLayout().total_symbols
 
 
-def _blocks(items, size: int):
-    """``items`` in consecutive lists of ``size`` items, the last one shorter."""
-    items = iter(items)
-    while block := list(itertools.islice(items, size)):
-        yield block
-
-
 class _TrialWorker:
     """A forked process that runs whole blocks of trials for the sweep.
 
@@ -338,9 +331,8 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
         worker.start_point(mode, cfg, channel)
 
     def outcomes():  # each trial's LinkMetrics, or None where sync failed
-        blocks = _blocks(seeds, cap)
-        for block in blocks:
-            second = next(blocks, None) if worker else None
+        while block := list(itertools.islice(seeds, cap)):
+            second = list(itertools.islice(seeds, cap)) if worker else None
             request = worker.submit(second) if second else None
             yield from run_trials(mode, cfg, channel, block)[1]
             if second:

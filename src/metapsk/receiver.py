@@ -18,9 +18,9 @@ one lag, as in every sweep (the channel adds no delay, so the frame can
 only start at sample 0), the peak is that lag's normalized dot product.
 A window of several lags is correlated at all lags at once by FFT.  The
 frame constants the receiver compares against (the sync reference and
-its norm, the training and pilot references, the pilot power, the
-mid-symbol offsets) are built once per frame format and shared; the
-training energy, the gain estimate's denominator, is summed per frame.
+its norm, the training and pilot references, the pilot power) are built
+once per frame format and shared; the training energy, the gain
+estimate's denominator, is summed per frame.
 Bit errors are counted from the symbol decisions, each adding its Gray
 distance to the sent symbol.
 """
@@ -43,7 +43,6 @@ from .baseband import (
     as_indices,
     constellation,
     mean_power,
-    symbol_centres,
     sync_symbols,
     training_symbols,
 )
@@ -138,11 +137,14 @@ class ChannelEstimate:
             raise ValueError("channel gain must be nonzero")
 
 
+# an overflow makes the energy or the gain infinite, which is refused below, unwarned
+@np.errstate(over="ignore")
 def estimate_channel(rx_pilot: np.ndarray, pilot_ref: np.ndarray) -> ChannelEstimate:
     """Single-tap least squares: gain = <ref, rx> / <ref, ref>.
 
-    A reference whose energy <ref, ref> is zero, NaN or infinite raises
-    :class:`ValueError`.
+    A reference whose energy <ref, ref> is zero, NaN or infinite (also
+    when it overflows) raises :class:`ValueError`, as does a gain that is
+    not finite.
     """
     rx_pilot = np.asarray(rx_pilot)
     pilot_ref = np.asarray(pilot_ref)
@@ -183,19 +185,17 @@ def demodulate(samples: np.ndarray, phase_offset_deg: float = 0.0) -> tuple[np.n
 class _FrameReference(NamedTuple):
     """What the receiver compares one frame format against."""
 
-    centres: np.ndarray | slice  # mid-symbol samples from the frame start
     train_ref: np.ndarray  # sync + pilot symbols on the unrotated constellation
     pilot_ref: np.ndarray
     pilot_power: float
 
 
 @_frozen
-def _frame_reference(layout: FrameLayout, oversampling: int) -> _FrameReference:
+def _frame_reference(layout: FrameLayout) -> _FrameReference:
     """The reference of a frame format, built once per format."""
     train_ref = constellation()[training_symbols(layout)]
     pilot_ref = train_ref[layout.pilot_slice]
-    centres = slice(0, layout.total_symbols) if oversampling == 1 else symbol_centres(layout, oversampling)
-    return _FrameReference(centres, train_ref, pilot_ref, mean_power(pilot_ref))
+    return _FrameReference(train_ref, pilot_ref, mean_power(pilot_ref))
 
 
 @_frozen
@@ -237,7 +237,7 @@ def receive_frame(
     rows of the block's arrays.
     """
     ovs = wave.oversampling
-    ref = _frame_reference(layout, ovs)
+    ref = _frame_reference(layout)
     n = wave.samples.shape[-1]
     rows = wave.samples.reshape(-1, n)
     max_start = n - layout.total_symbols * ovs
@@ -252,7 +252,9 @@ def receive_frame(
         except SyncError as exc:
             outcomes[i] = exc
             continue
-        y = row[sync.frame_start:][ref.centres]
+        start = sync.frame_start + ovs // 2
+        # mid-symbol samples, contiguous: np.vdot sums a strided view in another order
+        y = np.ascontiguousarray(row[start : start + layout.total_symbols * ovs : ovs])
         # one sum: not finite for a NaN or infinite sample, or when the energy overflows
         if not math.isfinite(np.vdot(y, y).real) and not (finite := np.isfinite(y)).all():
             outcomes[i] = SyncError(f"symbol {finite.argmin()} of the frame has a non-finite sample")

@@ -40,8 +40,10 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _OTHERS = [np.array([j for j in range(4) if j != i]) for i in range(4)]
 _POOL_CYCLE = np.array([0, 1, 2, 3, 0, 1, 2, 3])
 
-# Below this many seeds numpy's own SeedSequence, one seed at a time, is
-# cheaper than the ~50 array operations of one block hash.
+# numpy's own SeedSequence, one seed at a time, costs ~9 µs a seed; one
+# block hash ~50 µs plus ~1 µs a seed.  On one CPU (numpy 2.4) they were
+# even at 6 seeds and the hash was cheaper from 7.  A trial takes two
+# seeds, so 8 (a block of 4 trials) is the first block the hash wins.
 _MIN_BLOCK = 8
 
 

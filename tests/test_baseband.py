@@ -21,7 +21,6 @@ from metapsk.baseband import (
     mean_power,
     pilot_symbols,
     pn_chips,
-    symbol_centres,
     symbols_to_bits,
     sync_symbols,
     synthesize,
@@ -180,7 +179,6 @@ class TestTrainingSequences:
         (sync_symbols, (64,)),
         (pilot_symbols, (32,)),
         (training_symbols, (FrameLayout(),)),
-        (symbol_centres, (FrameLayout(sync_len=5, pilot_len=3, data_len=2), 8)),
     ])
     def test_frame_constants_are_shared_read_only(self, fn, args):
         """One array per argument, shared by every caller, so none may write to it."""
@@ -196,13 +194,10 @@ class TestTrainingSequences:
         assert constellation(phase_offset_deg=22.5) is shared
         np.testing.assert_array_equal(shared, constellation(22.5))
 
-    def test_training_symbols_and_centres(self):
+    def test_training_symbols(self):
         layout = FrameLayout(sync_len=5, pilot_len=3, data_len=2)
         np.testing.assert_array_equal(
             training_symbols(layout), np.concatenate([sync_symbols(5), pilot_symbols(3)]))
-        centres = symbol_centres(layout, 8)
-        assert centres.size == layout.total_symbols
-        np.testing.assert_array_equal(centres[:3], [4, 12, 20])
 
 
 class TestFrame:

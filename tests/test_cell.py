@@ -343,6 +343,21 @@ class TestBiasLagIsExact:
         assert len(rounds) > cell._LAG_REPAIR_ROUNDS and not walked
         assert got.tobytes() == lag_samples(rc, levels, symbols, 8).tobytes()
 
+    @pytest.mark.parametrize("tau_s", [40e-9, 1e-6])  # the lag table; the walk
+    def test_frame_too_long_to_hold_fails_before_the_lag(self, monkeypatch, tau_s):
+        """The lag's work grows with oversampling: 2**50 samples a symbol
+        would take it ages, but cannot be held, so nothing is worked out."""
+        from metapsk import cell
+
+        def refuse(*args):
+            raise AssertionError("the lag was worked out before the output was allocated")
+
+        monkeypatch.setattr(cell, "_walk", refuse)
+        monkeypatch.setattr(cell, "_table_entries", refuse)
+        rc = RcDynamics(tau_s=tau_s, sample_period_s=1.0 / (2.048e6 * 2**50))
+        with pytest.raises(MemoryError):
+            voltage_trajectory(rc, bias_voltage_table(VoltagePhaseCurve()), np.arange(8), 2**50)
+
     @settings(max_examples=120, deadline=None)
     @given(
         rate=st.sampled_from(SimConfig().rate_grid_hz),

@@ -161,6 +161,11 @@ class TestValidation:
             with pytest.raises(ValueError, match="^incident_amplitude is too large"):
                 SimConfig(incident_amplitude=amplitude)
 
+    @pytest.mark.parametrize("name", ["oversampling", "sync_len", "data_len"])
+    def test_frame_too_long_for_an_array_rejected(self, name):
+        with pytest.raises(ValueError, match="samples is more than an array can hold$"):
+            SimConfig(**{name: 2**63})
+
     @pytest.mark.parametrize("name,bad", [
         ("symbol_rate_hz", 10**400),
         ("tau_s", 10**400),

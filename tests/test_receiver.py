@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
+import reference_chain
 from helpers import frame_wave
 from metapsk import receiver
 from metapsk.baseband import (
@@ -21,6 +22,7 @@ from metapsk.baseband import (
     sync_symbols,
 )
 from metapsk.channel import ChannelConfig, apply_channel, snr_from_eb_n0_db
+from metapsk.config import SimConfig
 from metapsk.receiver import (
     ChannelEstimate,
     ReceivedFrame,
@@ -113,15 +115,26 @@ class TestSynchronize:
             synchronize(padded, sync_symbols(64), max_start=lag - 1)
         assert synchronize(padded, sync_symbols(64), max_start=lag).frame_start == lag
 
-    @pytest.mark.parametrize("lag", [1, 37, 500])
-    def test_receiver_acquires_delayed_frame(self, lag):
-        """receive_frame searches every lag a full frame fits behind."""
-        payload, frame, wave = frame_wave(8)
+    @pytest.mark.parametrize("lag, mode, tau_s, oversampling", [
+        *(pytest.param(lag, TxMode.CONVENTIONAL, 0.0, 8, id=str(lag)) for lag in (1, 37, 500)),
+        # the bias lag makes each of a symbol's samples differ, so a sample
+        # taken one off the middle changes eq_data
+        *(pytest.param(37, TxMode.METASURFACE, 40e-9, ovs, id=f"metasurface-os{ovs}")
+          for ovs in (1, 2, 3, 8, 32)),
+    ])
+    def test_receiver_acquires_delayed_frame(self, lag, mode, tau_s, oversampling):
+        """receive_frame searches every lag a full frame fits behind, and
+        reads each symbol's middle sample from the lag it finds."""
+        payload, frame, wave = frame_wave(8, mode, tau_s, oversampling=oversampling)
         lead = 0.3 * np.exp(1j * np.arange(lag))  # leading samples that are not the frame
         delayed = replace(wave, samples=np.concatenate([lead, wave.samples]))
         received = receive_frame(delayed)
         assert received.sync.frame_start == lag
         assert measure(received, payload, frame.data_symbols()).bit_errors == 0
+        assert received.eq_data.tobytes() == receive_frame(wave).eq_data.tobytes()
+        # the frozen reference takes the middle samples by their indices
+        reference = reference_chain.receive_frame(wave.samples, SimConfig(oversampling=oversampling))
+        assert received.eq_data.tobytes() == reference.eq_data.tobytes()
 
     def test_acquisition_rate_at_10_db(self):
         """At 10 dB per-sample SNR the frame is found in >= 99 % of trials."""
@@ -247,12 +260,18 @@ class TestEstimateChannel:
         with pytest.raises(ValueError):
             estimate_channel(np.ones(4, dtype=complex), np.zeros(4, dtype=complex))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    # 1e200 is finite, but its square overflows the energy
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
     def test_non_finite_reference_rejected_before_the_divide(self, bad):
         ref = constellation()[pilot_symbols(32)].copy()
         ref[5] = bad
         with pytest.raises(ValueError, match="pilot reference must have finite, nonzero energy"):
             estimate_channel(np.ones(32, dtype=complex), ref)
+
+    def test_overflowing_gain_rejected(self):
+        ref = np.full(32, 1e-150 + 0j)
+        with pytest.raises(ValueError, match="channel gain must be finite"):
+            estimate_channel(np.full(32, 1e300 + 0j), ref)
 
     def test_zero_gain_rejected(self):
         with pytest.raises(ValueError):
@@ -281,8 +300,8 @@ class TestEstimateChannel:
 class TestFrameConstants:
     def test_built_once_and_read_only(self):
         layout = FrameLayout()
-        ref = receiver._frame_reference(layout, 1)
-        assert receiver._frame_reference(FrameLayout(), 1) is ref
+        ref = receiver._frame_reference(layout)
+        assert receiver._frame_reference(FrameLayout()) is ref
         sync_ref, _ = receiver._sync_reference(sync_symbols(64).astype(np.uint8).tobytes(), 8)
         # keyed by value: a copy's bytes get the same reference
         assert receiver._sync_reference(sync_symbols(64).astype(np.uint8).tobytes(), 8)[0] is sync_ref
