@@ -6,6 +6,8 @@ rotates the phase of the reflection coefficient while its magnitude stays
 roughly flat.  Over the usable bias range the phase response is close
 enough to linear that a two-point calibration (phase at v_min, total span)
 captures it, and that linear curve is what the rest of the simulator uses.
+The complex reflection at a bias voltage is worked out from it in one
+place, ``surface.uniform_reflection``.
 
 The bias-line lag is a first-order recurrence over the samples, run in
 numpy alone.  Its state is looked up per symbol history in a table built
@@ -99,27 +101,6 @@ class VoltagePhaseCurve:
         branch = (phase_deg - self.phase_at_vmin_deg) % 360.0
         frac = branch / self.phase_span_deg
         return self.v_min + frac * (self.v_max - self.v_min)
-
-
-def voltage_to_reflection(curve: VoltagePhaseCurve, voltage):
-    """Complex reflection sample(s) for bias voltage(s) on ``curve``.
-
-    Accepts scalars or arrays; out-of-range voltages are clamped.
-    """
-    phase = curve.phase_deg(np.atleast_1d(voltage))
-    np.deg2rad(phase, out=phase)
-    # cos + i sin written into one array and scaled in place: amplitude *
-    # exp(1j * phase) bit for bit, without a complex exponential.  Over
-    # flat views: numpy writes the strided real and imaginary parts of a
-    # 2-D array (a block of frames) more slowly, with the same values.
-    gamma = np.empty(phase.shape, dtype=complex)
-    flat = gamma.reshape(-1)
-    np.cos(phase.reshape(-1), out=flat.real)
-    np.sin(phase.reshape(-1), out=flat.imag)
-    gamma *= curve.amplitude
-    if np.ndim(voltage) == 0:
-        return complex(gamma[0])
-    return gamma
 
 
 def bias_voltage_table(curve: VoltagePhaseCurve, phase_offset_deg: float = 0.0) -> np.ndarray:

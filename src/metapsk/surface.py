@@ -5,11 +5,12 @@ all driven by one bias line and fed by a plane wave at the carrier
 frequency.  For the link simulation the quantity of interest is the
 complex baseband sample the whole surface returns, which under
 plane-wave feed is the mean of the per-cell reflections, i.e. the
-single-cell reflection.  The far-field array factor is exposed separately
-for pattern checks; the link path never integrates over angle.  The
-cell's reflection magnitude is flat over bias, so the bias only turns the
-phase of the whole pattern: |AF| depends on the geometry and the cell
-magnitude alone.
+single-cell reflection: :func:`uniform_reflection`, the one place a
+bias voltage becomes a reflection.  The far-field array factor is
+exposed separately for pattern checks; the link path never integrates
+over angle.  The cell's reflection magnitude is flat over bias, so the
+bias only turns the phase of the whole pattern: |AF| depends on the
+geometry and the cell magnitude alone.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import VoltagePhaseCurve, voltage_to_reflection
+from .cell import VoltagePhaseCurve
 
 speed_of_light = 299_792_458.0  # m/s, exact by the SI definition of the metre
 # array_factor sums blocks of this many angles at a time, so its
@@ -65,10 +66,22 @@ def uniform_reflection(curve: VoltagePhaseCurve, voltages, incident_amplitude: f
 
     Under plane-wave feed the surface returns the mean of its cell
     reflections, and the mean of identical cells is the single-cell
-    reflection, so this is that sample vectorized over a voltage time
-    series.
+    reflection, so this is that sample vectorized over a voltage array:
+    ``incident_amplitude * curve.amplitude * exp(1j * curve.phase_deg(v))``
+    (in radians), out-of-range voltages clamped.
     """
-    gamma = voltage_to_reflection(curve, np.asarray(voltages, dtype=float))
+    phase = curve.phase_deg(voltages)
+    np.deg2rad(phase, out=phase)
+    # cos + i sin written into one array and scaled in place: amplitude *
+    # exp(1j * phase) bit for bit, without a complex exponential.  Over
+    # flat views: numpy writes the strided real and imaginary parts of a
+    # 2-D array (a block of frames) more slowly, with the same values.
+    gamma = np.empty(phase.shape, dtype=complex)
+    flat = gamma.reshape(-1)
+    np.cos(phase.reshape(-1), out=flat.real)
+    np.sin(phase.reshape(-1), out=flat.imag)
+    # two multiplies, not one by their product, which rounds differently
+    gamma *= curve.amplitude
     gamma *= incident_amplitude
     return gamma
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from metapsk.baseband import FrameLayout, TxMode, build_frame, synthesize
-from metapsk.cell import RcDynamics, VoltagePhaseCurve, voltage_to_reflection
+from metapsk.cell import RcDynamics, VoltagePhaseCurve
 
 DEFAULT_RATE = 2.048e6
 DEFAULT_OVS = 8
@@ -33,8 +33,12 @@ def lag_samples(rc: RcDynamics, levels, symbols, oversampling: int) -> np.ndarra
 
 
 def reflect_sample(curve: VoltagePhaseCurve, voltages, incident_amplitude: float = 1.0) -> complex:
-    """Complex baseband sample reflected under plane-wave feed by cells biased at ``voltages``."""
-    gamma = voltage_to_reflection(curve, np.asarray(voltages, dtype=float))
+    """Complex baseband sample reflected under plane-wave feed by cells biased at ``voltages``.
+
+    Worked out here with a complex exponential, not by the surface's own
+    ``uniform_reflection``, so that tests can check that function against it.
+    """
+    gamma = curve.amplitude * np.exp(1j * np.deg2rad(curve.phase_deg(voltages)))
     return complex(incident_amplitude * gamma.mean())
 
 

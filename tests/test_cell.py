@@ -16,10 +16,10 @@ from metapsk.cell import (
     Z0_FREE_SPACE,
     bias_voltage_table,
     reflection_coefficient,
-    voltage_to_reflection,
     voltage_trajectory,
 )
 from metapsk.config import SimConfig
+from metapsk.surface import uniform_reflection
 
 from helpers import lag_samples, rc_step
 
@@ -59,7 +59,7 @@ class TestVoltagePhaseCurve:
 
     def test_default_amplitude_matches_power_reflectivity(self):
         curve = VoltagePhaseCurve()
-        gamma = voltage_to_reflection(curve, 10.0)
+        gamma = uniform_reflection(curve, np.array([10.0]))[0]
         assert round(abs(gamma), 4) == 0.9220
         np.testing.assert_allclose(abs(gamma) ** 2, 0.85, rtol=1e-12)
 
@@ -78,7 +78,7 @@ class TestVoltagePhaseCurve:
     def test_reflection_has_configured_magnitude(self):
         curve = VoltagePhaseCurve(amplitude=0.5)
         v = np.linspace(0.0, 20.0, 7)
-        np.testing.assert_allclose(np.abs(voltage_to_reflection(curve, v)), 0.5, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(uniform_reflection(curve, v)), 0.5, rtol=1e-12)
 
     def test_span_below_full_turn_rejected(self):
         with pytest.raises(ValueError):
@@ -161,8 +161,8 @@ class TestBiasTable:
     def test_composition_hits_ideal_constellation(self, offset, k):
         """Bias table + unit-amplitude curve reproduce exp(j(offset + 45k))."""
         curve = VoltagePhaseCurve(amplitude=1.0)
-        voltage = bias_voltage_table(curve, phase_offset_deg=offset)[k]
-        got = voltage_to_reflection(curve, voltage)
+        voltage = bias_voltage_table(curve, phase_offset_deg=offset)[k:k + 1]
+        got = uniform_reflection(curve, voltage)
         want = np.exp(1j * np.deg2rad(offset + k * PSK_STEP_DEG))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -172,17 +172,17 @@ def test_reflection_is_the_complex_exponential_on_the_pinned_sweep(monkeypatch):
     bit for bit on every phase array of the pinned oversampling-32 sweep
     (test_cli's `sweep --var snr --trials 2 --seed 11`).  The identity rests
     on the math library, so this pins it where the artifacts depend on it."""
-    from metapsk import surface
+    from metapsk import baseband
     from metapsk.config import SimConfig
     from metapsk.harness import SweepSpec, SweepVar, run_sweep
 
     seen = []
 
-    def recording(curve, voltage):
+    def recording(curve, voltage, incident_amplitude=1.0):
         seen.append((curve, np.array(voltage)))
-        return voltage_to_reflection(curve, voltage)
+        return uniform_reflection(curve, voltage, incident_amplitude)
 
-    monkeypatch.setattr(surface, "voltage_to_reflection", recording)
+    monkeypatch.setattr(baseband, "uniform_reflection", recording)
     cfg = SimConfig(oversampling=32)
     run_sweep(SweepSpec(SweepVar.SNR, cfg.snr_grid_db, trials=2, master_seed=11), cfg)
     assert len(seen) >= len(cfg.snr_grid_db)  # at least one surface frame per point
@@ -190,7 +190,7 @@ def test_reflection_is_the_complex_exponential_on_the_pinned_sweep(monkeypatch):
         phase = np.deg2rad(curve.phase_deg(voltage))
         assert phase.size == 32 * cfg.layout().total_symbols
         old = curve.amplitude * np.exp(1j * phase)
-        assert voltage_to_reflection(curve, voltage).tobytes() == old.tobytes()
+        assert uniform_reflection(curve, voltage).tobytes() == old.tobytes()
 
 
 class TestRcDynamics:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metapsk.cell import VoltagePhaseCurve, bias_voltage_table, voltage_to_reflection
+from metapsk.cell import VoltagePhaseCurve, bias_voltage_table
 from metapsk.surface import SurfaceGeometry, array_factor, uniform_reflection
 
 from helpers import reflect_sample
@@ -59,7 +59,7 @@ class TestReflectSample:
         curve = VoltagePhaseCurve()
         for v in [0.0, 7.5, 20.0]:
             got = reflect_sample(curve, uniform_grid(v))
-            np.testing.assert_allclose(got, voltage_to_reflection(curve, v), rtol=1e-12)
+            np.testing.assert_allclose(got, uniform_reflection(curve, np.array([v]))[0], rtol=1e-12)
 
     def test_uniform_symbol_zero_magnitude(self):
         """All cells at the symbol-0 bias reflect with the cell magnitude."""
@@ -127,8 +127,7 @@ class TestArrayFactor:
         for phi_deg in (0.0, 137.0):
             phi = math.radians(phi_deg)
             got = array_factor(geometry, curve.amplitude, thetas, phi_deg)
-            for voltage in bias_voltage_table(curve):
-                gamma = voltage_to_reflection(curve, voltage)
+            for gamma in uniform_reflection(curve, bias_voltage_table(curve)):
                 direct = []
                 for theta in map(math.radians, thetas):
                     acc = 0.0 + 0.0j
