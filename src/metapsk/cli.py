@@ -148,7 +148,7 @@ def cmd_pattern(args) -> int:
         writer.writerow(["theta_deg", "phi_deg", "magnitude_db"])
         for t, mag in zip(theta, cut):
             # the floor keeps nulls finite in dB
-            writer.writerow([f"{t:.6g}", f"{args.phi:.6g}", f"{20.0 * np.log10(max(mag, 1e-12)):.6f}"])
+            writer.writerow([f"{t:.6g}", f"{args.phi:.6g}", f"{20.0 * math.log10(max(mag, 1e-12)):.6f}"])
 
     # The panel peaks at broadside, and the cut covers one side of the
     # main lobe: its edge is the last theta before |AF| first drops below

@@ -352,8 +352,10 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
         symbols = sum(m.symbols_compared for m in frames)
         ber = bit_errors / bits
         ser = sum(m.symbol_errors for m in frames) / symbols
-        evm = float(np.sqrt(evm_sq_sum / symbols))
-        est_snr = float(10.0 * np.log10(snr_lin_sum / len(frames)))
+        evm = math.sqrt(evm_sq_sum / symbols)
+        # math, not numpy: numpy's log10 rounds differently at different
+        # SIMD levels, and the artifacts must not depend on the CPU
+        est_snr = 10.0 * math.log10(snr_lin_sum / len(frames))
     return PointResult(
         mode=mode, sweep_var=var, value=value, symbol_rate_hz=cfg.symbol_rate_hz,
         snr_db=realized_snr_db(channel), tx_power_dbm=value if var is SweepVar.TX_POWER else None,
@@ -525,7 +527,7 @@ def _crossing(points: list[PointResult], target: float) -> float | None:
         if lo <= target <= hi:
             if a.ber == b.ber:
                 return float(a.value)
-            la, lb, lt = np.log10([a.ber, b.ber, target])
+            la, lb, lt = math.log10(a.ber), math.log10(b.ber), math.log10(target)
             return float(a.value + (b.value - a.value) * (lt - la) / (lb - la))
     return None
 

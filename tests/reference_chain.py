@@ -306,7 +306,7 @@ def run_point(mode: str, var: str, value: float, cfg, master_seed: int, trials: 
         ber = bit_errors / bits
         ser = sum(m.symbol_errors for m in frames) / symbols
         evm = float(np.sqrt(evm_sq_sum / symbols))
-        est_snr = float(10.0 * np.log10(snr_lin_sum / len(frames)))
+        est_snr = 10.0 * math.log10(snr_lin_sum / len(frames))
     if channel.snr_db is not None:
         snr_db = channel.snr_db
     else:

@@ -457,9 +457,9 @@ class TestPattern:
 ARTIFACT_SHA256 = {
     "snr/results.csv": "61e57e6cf7b97e3ff9ba5ac059449a18675f609ac484a198a244721af4efdab3",
     "snr/manifest.json": "702fc211449cbc99a0c691494f0d71e0a92d09c60690be3ec97a77d9091e9bcb",
-    "rate/results.csv": "07e64ad42e34963a30bf1b3b4623212d94bc066f7192d603801c0d56e84f6866",
+    "rate/results.csv": "b315e7e105094afd4f847b9a2d0803271528a4bf9683499e80e9bfed2fca79ef",
     "rate/manifest.json": "4551d49710ef53de29ae23f10af3103f41c099313f393b1cdb16eebc005851d2",
-    "power/results.csv": "6d1826eed95e79f392d7e63a53df83db8bf0d56289642adf22fb81276d97288d",
+    "power/results.csv": "42516486db2fffaa61c3385dc590f71ad63f4a746ce31ec79239f44f81cedc4c",
     "power/manifest.json": "b994f1c2dd128a64d44ce8a4422256789ab260893e6b559287719ad6f10d06d5",
     "constellation_power.csv": "c5ec01a0d30a6813a58368ac67a0fd9077e100c35720f1860e53462f65bafd72",
     "constellation_snr.csv": "61f65bfa1f24e4f858c3b79dbfd1fa35c8327adfeb805d3abd7e5f465ecf4915",
@@ -489,11 +489,11 @@ def test_artifacts_match_pinned_digests(capsys, tmp_path):
 # and 32 (the longest the benchmark runs).
 OVERSAMPLED_SHA256 = {
     1: {
-        "results.csv": "0c225fe9a86320fbd6e7498b9170f92d712b50b87a868a35a295bad554a353b9",
+        "results.csv": "458ca5643843372f1f7cbc27f30317a6c72752e351b5e6c64f5fa296a9a50a11",
         "manifest.json": "653109023ace3d401a87ebe38b688488f0010525433382de23ba0a8ed2d63dcf",
     },
     32: {
-        "results.csv": "858ac52271b5adbfe601891bcbc64c7eebbb28efbbce4da2a910ee44963ec83e",
+        "results.csv": "d1231ccb3977e76a2288ab95f4f2c281263b50f05cb8c043e616fbf96e1dd42f",
         "manifest.json": "8e8b4d570e9df9996628e9f82b7df5a1f064420f398acea3704cbb2a1c53d759",
     },
 }
@@ -504,7 +504,7 @@ OVERSAMPLED_SHA256 = {
 # 2 or 6 frames, inside the first block (with a trial worker, while the
 # worker's block of trials 8-15 is in flight), and the rest run 40.
 BLOCKED_SHA256 = {
-    "results.csv": "0f8b055640442b853a6a88cafbb14045a640e95e76c8fb170795913a7245b0bb",
+    "results.csv": "faec5dacba10a299f84344ae99af0c14426812971569da5f3c1fe0295aa66069",
     "manifest.json": "c2533c6b478662366738b110253a2de9cea3eaef732f53cb417e64c25f5657eb",
 }
 
@@ -527,6 +527,29 @@ def test_oversampled_artifacts_match_pinned_digests(capsys, tmp_path, oversampli
 
 def test_blocked_sweep_matches_pinned_digests(capsys, tmp_path):
     assert _snr_sweep_digests(capsys, tmp_path, 1, 40) == BLOCKED_SHA256
+
+
+# numpy picks its kernels by the CPU's SIMD level, and some of them round
+# differently from one level to the next.  This turns off the AVX-512
+# ones; numpy ignores names the CPU or its build lacks.
+NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def test_pinned_artifacts_hold_without_avx512():
+    """The four digest tests pass in a process whose numpy runs no AVX-512
+    kernel: the artifacts do not depend on the SIMD level."""
+    tests = [f"tests/test_cli.py::{name}" for name in (
+        "test_artifacts_match_pinned_digests",
+        "test_oversampled_artifacts_match_pinned_digests",
+        "test_blocked_sweep_matches_pinned_digests",
+    )]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=SRC_DIR.parent, capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR), "NPY_DISABLE_CPU_FEATURES": NO_AVX512},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "4 passed" in proc.stdout
 
 
 # The first outputs of the payload and noise streams of three trials of
