@@ -353,8 +353,7 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
         ber = bit_errors / bits
         ser = sum(m.symbol_errors for m in frames) / symbols
         evm = math.sqrt(evm_sq_sum / symbols)
-        # math, not numpy: numpy's log10 rounds differently at different
-        # SIMD levels, and the artifacts must not depend on the CPU
+        # math, not numpy, whose log10 rounds differently at different SIMD levels
         est_snr = 10.0 * math.log10(snr_lin_sum / len(frames))
     return PointResult(
         mode=mode, sweep_var=var, value=value, symbol_rate_hz=cfg.symbol_rate_hz,
