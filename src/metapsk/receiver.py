@@ -13,14 +13,15 @@ compares against the unrotated constellation: a constellation rotation
 at the transmitter is a common phase, which the correlation magnitude
 ignores and the complex gain estimate takes up.
 
-Synchronization has two paths.  When the search window admits exactly
-one lag, as in every sweep (the channel adds no delay, so the frame can
-only start at sample 0), the peak is that lag's normalized dot product.
-A window of several lags is correlated at all lags at once by FFT.  The
-frame constants the receiver compares against (the sync reference and
-its norm, the training and pilot references, the pilot power) are built
-once per frame format and shared; the training energy, the gain
-estimate's denominator, is summed per frame.
+The sync search covers each lag a full frame fits behind, and has two
+paths.  When that window admits exactly one lag, as in every sweep (the
+channel adds no delay, so the frame can only start at sample 0), the
+peak is that lag's normalized dot product.  A window of several lags is
+correlated at all lags at once by FFT.  The frame constants the receiver
+compares against (the sync reference and its norm, the training and
+pilot references, the pilot power) are built once per frame format and
+shared; the training energy, the gain estimate's denominator, is summed
+per frame.
 Bit errors are counted from the symbol decisions, each adding its Gray
 distance to the sent symbol.
 """
@@ -80,16 +81,14 @@ def synchronize(
     wave: Waveform,
     sync_syms: np.ndarray,
     threshold: float = SYNC_THRESHOLD_DEFAULT,
-    *,
-    max_start: int | None = None,
 ) -> SyncResult:
     """Locate the frame start by normalized cross-correlation.
 
     The reference is the oversampled sync subframe on the unrotated
     constellation.  The peak is the correlation's magnitude normalized by
     the windowed signal energy, so it lies in [0, 1] and is insensitive to
-    the channel gain and to any common phase rotation.  Only lags up to
-    ``max_start`` (all lags when it is None) are searched.
+    the channel gain and to any common phase rotation.  Every lag at
+    which the reference fits inside ``wave`` is searched.
 
     A window of one lag is scored by one dot product against the signal
     energy.  A longer window is correlated at every lag by FFT, and
@@ -102,10 +101,6 @@ def synchronize(
     r = wave.samples
     if r.size < ref.size:
         raise SyncError("waveform shorter than the sync reference")
-    if max_start is not None:
-        if max_start < 0:
-            raise SyncError("waveform shorter than a full frame")
-        r = r[: max_start + ref.size]
 
     if r.size == ref.size:
         start = 0
@@ -114,7 +109,8 @@ def synchronize(
     else:
         num = np.abs(fftconvolve(r, np.conj(ref[::-1])))
         csum = np.concatenate([[0.0], np.cumsum(np.abs(r) ** 2)])
-        window_energy = np.maximum(csum[ref.size:] - csum[: r.size - ref.size + 1], 0.0)
+        window_energy = csum[ref.size:] - csum[: r.size - ref.size + 1]
+        # unclamped: the where below scores a negative (rounded) or NaN energy 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = np.where(window_energy > 0.0, num / (np.sqrt(window_energy) * ref_norm), 0.0)
         best = np.max(corr)
@@ -223,11 +219,12 @@ def receive_frame(
 ):
     """Run the full chain on a waveform containing one frame.
 
-    A constellation rotation at the transmitter ends up in
-    ``estimate.gain``; ``eq_data`` lies on the unrotated constellation.
-    A frame found with a NaN or infinite mid-symbol sample raises
-    :class:`SyncError` naming the first such symbol: it would decode to
-    arbitrary symbols.
+    The frame is sought at each lag it fits behind; a waveform shorter
+    than a frame raises :class:`SyncError`.  A constellation rotation at
+    the transmitter ends up in ``estimate.gain``; ``eq_data`` lies on
+    the unrotated constellation.  A frame found with a NaN or infinite
+    mid-symbol sample raises :class:`SyncError` naming the first such
+    symbol: it would decode to arbitrary symbols.
 
     A block of frames (a 2-D waveform, one frame per row) gives a list
     with one entry per row: its :class:`ReceivedFrame`, or the
@@ -240,7 +237,7 @@ def receive_frame(
     ref = _frame_reference(layout)
     n = wave.samples.shape[-1]
     rows = wave.samples.reshape(-1, n)
-    max_start = n - layout.total_symbols * ovs
+    window = n - (layout.total_symbols - layout.sync_len) * ovs
     sync_syms = sync_symbols(layout.sync_len)
     outcomes: list = [None] * rows.shape[0]
     passed = []  # (row, sync, estimate) of each row that passed sync
@@ -248,7 +245,9 @@ def receive_frame(
     y_eq = np.empty((rows.shape[0], layout.pilot_len + layout.data_symbols), dtype=complex)
     for i, row in enumerate(rows):
         try:
-            sync = synchronize(Waveform(row, ovs), sync_syms, threshold, max_start=max_start)
+            if n < layout.total_symbols * ovs:
+                raise SyncError("waveform shorter than a full frame")
+            sync = synchronize(Waveform(row[:window], ovs), sync_syms, threshold)
         except SyncError as exc:
             outcomes[i] = exc
             continue

@@ -96,24 +96,30 @@ class TestSynchronize:
         doubled = replace(wave, samples=np.tile(wave.samples, 2))
         assert synchronize(doubled, sync_symbols(64)).frame_start == 0
 
-    def test_max_start_restricts_search(self):
-        _, _, wave = frame_wave(6)
-        padded = replace(wave, samples=np.concatenate([np.zeros(500, dtype=complex), wave.samples]))
-        with pytest.raises(SyncError):
-            synchronize(padded, sync_symbols(64), max_start=-1)
+    def test_receiver_refuses_less_than_a_frame(self):
+        """One sample short of a full frame fails sync, and so does a frame
+        one sample past the last lag a full frame fits behind (a whole
+        symbol, at one sample per symbol)."""
+        _, _, wave = frame_wave(6, oversampling=1)
+        with pytest.raises(SyncError, match="shorter than a full frame"):
+            receive_frame(replace(wave, samples=wave.samples[:-1]))
+        padded = np.concatenate([np.zeros(500, dtype=complex), wave.samples])
+        with pytest.raises(SyncError, match="below threshold"):
+            receive_frame(replace(wave, samples=padded[:-1]))
+        assert receive_frame(replace(wave, samples=padded)).sync.frame_start == 500
 
     @pytest.mark.parametrize("lag", [1, 37, 500])
-    def test_max_start_window_edge(self, lag):
-        """A frame at ``lag`` is missed by a window ending at lag - 1 and found at its edge.
+    def test_search_window_edge(self, lag):
+        """A frame at ``lag`` is missed by a window whose last lag is lag - 1 and found at its edge.
 
         One sample per symbol, so a lag one sample early is a whole
         symbol early and correlates far below the threshold.
         """
         _, _, wave = frame_wave(6, oversampling=1)
-        padded = replace(wave, samples=np.concatenate([np.zeros(lag, dtype=complex), wave.samples]))
+        padded = np.concatenate([np.zeros(lag, dtype=complex), wave.samples])
         with pytest.raises(SyncError):
-            synchronize(padded, sync_symbols(64), max_start=lag - 1)
-        assert synchronize(padded, sync_symbols(64), max_start=lag).frame_start == lag
+            synchronize(replace(wave, samples=padded[: lag - 1 + 64]), sync_symbols(64))
+        assert synchronize(replace(wave, samples=padded[: lag + 64]), sync_symbols(64)).frame_start == lag
 
     @pytest.mark.parametrize("lag, mode, tau_s, oversampling", [
         *(pytest.param(lag, TxMode.CONVENTIONAL, 0.0, 8, id=str(lag)) for lag in (1, 37, 500)),
@@ -153,7 +159,7 @@ class TestSyncPaths:
 
     @staticmethod
     def both_paths(monkeypatch, wave, **kwargs):
-        """Sync with a one-lag and a two-lag window; check which path each took."""
+        """Sync on a one-lag and a two-lag window of ``wave``; check which path each took."""
         calls = []
 
         def counted(*args, **kw):
@@ -163,10 +169,11 @@ class TestSyncPaths:
         fftconvolve = receiver.fftconvolve
         monkeypatch.setattr(receiver, "fftconvolve", counted)
         results = []
-        for max_start, ffts in ((0, 0), (1, 1)):
+        for last_lag, ffts in ((0, 0), (1, 1)):
             calls.clear()
+            window = replace(wave, samples=wave.samples[: last_lag + 64 * wave.oversampling])
             try:
-                results.append(synchronize(wave, sync_symbols(64), max_start=max_start, **kwargs))
+                results.append(synchronize(window, sync_symbols(64), **kwargs))
             except SyncError as exc:
                 results.append(exc)
             assert len(calls) == ffts
@@ -185,14 +192,15 @@ class TestSyncPaths:
     def test_same_misses(self, monkeypatch, oversampling):
         _, _, wave = frame_wave(4, oversampling=oversampling)
         noisy = apply_channel(wave, ChannelConfig(snr_db=0.0), 7)
-        peak = synchronize(noisy, sync_symbols(64), threshold=0.0, max_start=0).peak
+        one_lag = replace(noisy, samples=noisy.samples[: 64 * oversampling])
+        peak = synchronize(one_lag, sync_symbols(64), threshold=0.0).peak
         for samples in (noisy.samples, np.zeros_like(noisy.samples)):
             results = self.both_paths(monkeypatch, replace(noisy, samples=samples),
                                       threshold=peak + 1e-9)
             assert all(isinstance(r, SyncError) for r in results)
 
-    @pytest.mark.parametrize("max_start", [0, 1])
-    def test_nan_sample_is_a_miss(self, max_start):
+    @pytest.mark.parametrize("last_lag", [0, 1])
+    def test_nan_sample_is_a_miss(self, last_lag):
         """A NaN in the window is no peak: SyncError, not an error from indexing.
 
         The NaN sits in the last sample of the window, so with two lags
@@ -200,10 +208,10 @@ class TestSyncPaths:
         into the first lag's otherwise finite correlation.
         """
         _, _, wave = frame_wave(5, oversampling=1)
-        samples = wave.samples.copy()
-        samples[63 + max_start] = np.nan
+        samples = wave.samples[: last_lag + 64].copy()
+        samples[-1] = np.nan
         with pytest.raises(SyncError):
-            synchronize(replace(wave, samples=samples), sync_symbols(64), max_start=max_start)
+            synchronize(replace(wave, samples=samples), sync_symbols(64))
 
 
 # sizes at which an FFT length or the "valid" slice could be off by one
