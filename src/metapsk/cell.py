@@ -36,8 +36,9 @@ PSK_STEP_DEG = 360.0 / PSK_ORDER
 # this many earlier symbols: 8**5 = 32,768 keys, 512 KB.
 _LAG_HISTORY = 4
 # The walk threshold: a line needs about one repair round per symbol it
-# remembers to within a rounding, and a walk is cheaper than ~30 rounds,
-# so a line that remembers more symbols than this is walked from the start.
+# remembers to within a rounding, and a walk is cheaper than ~30 rounds, so
+# a line remembering more symbols is walked from the start.  Both paths are
+# exact, so only timing pins this and the 2**-53 below (2**-50: same bytes).
 _LAG_REPAIR_ROUNDS = 32
 
 
@@ -202,7 +203,7 @@ def voltage_trajectory(rc: RcDynamics, levels, symbols, oversampling: int) -> np
     # A frame too long to hold fails here, before the lag's work, which
     # grows with oversampling.  Freed at once, so that work reuses it.
     np.empty((n, oversampling))
-    if (a**oversampling) ** _LAG_REPAIR_ROUNDS >= 2.0**-53:
+    if (a**oversampling) ** _LAG_REPAIR_ROUNDS >= 2.0**-53:  # a speed choice; both paths are exact
         entry = np.array(_walk(start, charge, oversampling, a))
     else:
         entry = _table_entries(a, levels, symbols, charge, start, oversampling)

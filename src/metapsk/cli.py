@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--var", choices=[v.value for v in SweepVar], required=True)
     p.add_argument("--values", type=float, nargs="+",
                    help="sweep grid; defaults to the config grid for --var")
-    p.add_argument("--modes", nargs="+", choices=modes, default=modes)
+    p.add_argument("--modes", nargs="+", choices=modes, default=[m.value for m in SweepSpec.modes])
     p.add_argument("--trials", type=int, help="frame budget per point")
     p.add_argument("--seed", type=int, default=SweepSpec.master_seed)
     p.add_argument("--paired", action="store_true",

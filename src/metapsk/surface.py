@@ -70,7 +70,7 @@ def uniform_reflection(curve: VoltagePhaseCurve, voltages, incident_amplitude: f
     ``incident_amplitude * curve.amplitude * exp(1j * curve.phase_deg(v))``
     (in radians), out-of-range voltages clamped.
     """
-    phase = curve.phase_deg(voltages)
+    phase = np.asarray(curve.phase_deg(voltages))  # an array for 0-d input too, to write into
     np.deg2rad(phase, out=phase)
     # cos + i sin written into one array and scaled in place: amplitude *
     # exp(1j * phase) bit for bit, without a complex exponential.  Over

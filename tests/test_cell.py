@@ -81,8 +81,10 @@ class TestVoltagePhaseCurve:
         np.testing.assert_allclose(np.abs(uniform_reflection(curve, v)), 0.5, rtol=1e-12)
 
     def test_span_below_full_turn_rejected(self):
-        with pytest.raises(ValueError):
-            VoltagePhaseCurve(phase_span_deg=300.0)
+        for span in (300.0, np.nextafter(360.0, 0.0)):
+            with pytest.raises(ValueError, match="phase span must cover at least 360 deg"):
+                VoltagePhaseCurve(phase_span_deg=span)
+        assert VoltagePhaseCurve(phase_span_deg=360.0).phase_span_deg == 360.0
 
     def test_bad_voltage_range_rejected(self):
         with pytest.raises(ValueError):

@@ -68,6 +68,13 @@ class TestHwCount:
 
 
 class TestSweep:
+    def test_defaults_are_the_spec_defaults(self, monkeypatch):
+        """--modes and --seed default to SweepSpec's, their one home."""
+        monkeypatch.setattr(SweepSpec, "modes", (TxMode.CONVENTIONAL,))
+        monkeypatch.setattr(SweepSpec, "master_seed", 5)
+        args = cli.build_parser().parse_args(["sweep", "--var", "snr"])
+        assert (args.modes, args.seed) == (["conventional"], 5)
+
     def test_writes_results_and_manifest(self, capsys, tmp_path):
         report = stdout_json(
             capsys, "sweep", "--var", "snr", "--values", "4", "8",

@@ -103,6 +103,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="positive"):
             SweepSpec(SweepVar.SYMBOL_RATE, values=(0.0, 1e6), trials=1)
 
+    def test_rejects_repeated_values(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SweepSpec(SweepVar.SNR, values=(4.0, 4.0), trials=1)
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             SweepSpec(SweepVar.SNR, values=(10.0,), trials=0)
@@ -234,6 +238,20 @@ class TestPointRow:
         for other_order in (math.fsum, np.sum):
             other = row_floats(other_order)
             assert other[0] != pt.evm_rms_pct and other[1] != pt.est_snr_db
+
+    @pytest.mark.parametrize("errors, low", [(20, False), (19, True)])
+    def test_low_confidence_below_min_errors_only(self, monkeypatch, errors, low):
+        """A point that reaches exactly ``min_errors`` errors is confident."""
+        frames = iter([_metrics(100, 10), _metrics(100, errors - 10)])
+
+        def trials(mode, cfg, channel, seeds):
+            metrics = list(itertools.islice(frames, len(seeds)))
+            return [None] * len(metrics), metrics
+
+        monkeypatch.setattr(harness, "run_trials", trials)
+        pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 10.0, fast_cfg(min_errors=20), master_seed=1,
+                       trials=2)
+        assert (pt.frames, pt.bit_errors, pt.low_confidence) == (2, errors, low)
 
 
 def _point_at_each_block_cap(monkeypatch, snr_db, paired=False):

@@ -47,8 +47,9 @@ class TestGeometry:
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             SurfaceGeometry(rows=0)
-        with pytest.raises(ValueError):
-            SurfaceGeometry(cell_pitch_m=-0.01)
+        for pitch in (0.0, -0.01):  # zero is the bound
+            with pytest.raises(ValueError, match="cell_pitch_m must be positive"):
+                SurfaceGeometry(cell_pitch_m=pitch)
         for freq in (0.0, -4.25e9):
             with pytest.raises(ValueError, match="carrier_freq_hz must be positive"):
                 SurfaceGeometry(carrier_freq_hz=freq)
@@ -84,6 +85,16 @@ class TestReflectSample:
         curve = VoltagePhaseCurve()
         grid = rng.uniform(0.0, 20.0, size=(8, 32))
         assert abs(reflect_sample(curve, grid)) <= curve.amplitude + 1e-12
+
+    @pytest.mark.parametrize("voltage", [10.0, np.float64(2.5), np.array(20.0)],
+                             ids=["float", "scalar", "0-d"])
+    def test_uniform_reflection_of_one_voltage(self, voltage):
+        """A 0-d voltage gives a 0-d sample, the one-element array's bytes."""
+        curve = VoltagePhaseCurve()
+        got = uniform_reflection(curve, voltage, incident_amplitude=0.7)
+        assert got.shape == ()
+        one = uniform_reflection(curve, np.array([voltage]), incident_amplitude=0.7)
+        assert got.tobytes() == one.tobytes()
 
     def test_uniform_reflection_matches_reflect_sample(self):
         curve = VoltagePhaseCurve()
