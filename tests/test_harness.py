@@ -239,10 +239,8 @@ class TestPointRow:
             other = row_floats(other_order)
             assert other[0] != pt.evm_rms_pct and other[1] != pt.est_snr_db
 
-    @pytest.mark.parametrize("errors, low", [(20, False), (19, True)])
-    def test_low_confidence_below_min_errors_only(self, monkeypatch, errors, low):
-        """A point that reaches exactly ``min_errors`` errors is confident."""
-        frames = iter([_metrics(100, 10), _metrics(100, errors - 10)])
+    def test_exactly_min_errors_is_confident(self, monkeypatch):
+        frames = iter([_metrics(100, 10), _metrics(100, 10)])
 
         def trials(mode, cfg, channel, seeds):
             metrics = list(itertools.islice(frames, len(seeds)))
@@ -251,7 +249,7 @@ class TestPointRow:
         monkeypatch.setattr(harness, "run_trials", trials)
         pt = run_point(TxMode.CONVENTIONAL, SweepVar.SNR, 10.0, fast_cfg(min_errors=20), master_seed=1,
                        trials=2)
-        assert (pt.frames, pt.bit_errors, pt.low_confidence) == (2, errors, low)
+        assert (pt.frames, pt.bit_errors, pt.low_confidence) == (2, 20, False)
 
 
 def _point_at_each_block_cap(monkeypatch, snr_db, paired=False):
