@@ -110,7 +110,7 @@ def synchronize(
         num = np.abs(fftconvolve(r, np.conj(ref[::-1])))
         csum = np.concatenate([[0.0], np.cumsum(np.abs(r) ** 2)])
         window_energy = csum[ref.size:] - csum[: r.size - ref.size + 1]
-        # unclamped: the where below scores a negative (rounded) or NaN energy 0.0
+        # may round below zero; the where below scores a negative or NaN energy 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = np.where(window_energy > 0.0, num / (np.sqrt(window_energy) * ref_norm), 0.0)
         best = np.max(corr)
