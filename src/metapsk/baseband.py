@@ -191,10 +191,6 @@ class FrameLayout:
     def pilot_slice(self) -> slice:
         return slice(self.sync_len, self.sync_len + self.pilot_len)
 
-    @property
-    def data_slice(self) -> slice:
-        return slice(self.sync_len + self.pilot_len, self.total_symbols)
-
 
 @_frozen
 def training_symbols(layout: FrameLayout) -> np.ndarray:
@@ -210,7 +206,7 @@ class Frame:
     symbols: np.ndarray
 
     def data_symbols(self) -> np.ndarray:
-        return self.symbols[..., self.layout.data_slice]
+        return self.symbols[..., -self.layout.data_symbols :]  # the frame's tail
 
 
 def build_frame(payload_bits, layout: FrameLayout = FrameLayout()) -> Frame:

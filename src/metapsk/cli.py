@@ -133,8 +133,6 @@ def cmd_constellation(args) -> int:
 def cmd_pattern(args) -> int:
     if not 0.0 < args.theta_step <= 90.0:
         raise ValueError("--theta-step must lie in (0, 90] degrees")
-    if not 0.0 <= args.phi < 360.0:
-        raise ValueError("--phi must lie in [0, 360) degrees")
     cfg = _config(args)
     geometry = cfg.geometry()
     # arange can end a rounding error past 90 (e.g. step 90/169)

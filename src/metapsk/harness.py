@@ -283,18 +283,18 @@ def _serve_trials(requests: int, replies: int) -> None:
         os._exit(code)
 
 
-def _until_stop(outcomes, cfg: SimConfig) -> list:
-    """``outcomes`` up to the first trial at which the point has ``cfg.min_errors``
-    bit errors or ``cfg.max_bits`` bits, or all of them; none past it is taken."""
+def _until_stop(outcomes, min_errors: float, max_bits: float) -> tuple[list, int, int]:
+    """The ``outcomes`` up to the first trial at which their bits reach ``max_bits`` or
+    their bit errors ``min_errors`` (or all of them, none past it taken), and those totals."""
     taken, bits, bit_errors = [], 0, 0
     for metrics in outcomes:
         taken.append(metrics)
         if metrics is not None:
             bits += metrics.bits_compared
             bit_errors += metrics.bit_errors
-        if bit_errors >= cfg.min_errors or bits >= cfg.max_bits:
+        if bit_errors >= min_errors or bits >= max_bits:
             break
-    return taken
+    return taken, bits, bit_errors
 
 
 def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
@@ -338,11 +338,10 @@ def run_point(mode: TxMode, var: SweepVar, value: float, cfg: SimConfig,
             if second:
                 yield from worker.collect(request)
 
-    taken = list(outcomes()) if paired else _until_stop(outcomes(), cfg)
+    floors = (math.inf, math.inf) if paired else (cfg.min_errors, cfg.max_bits)
+    taken, bits, bit_errors = _until_stop(outcomes(), *floors)
 
     frames = [m for m in taken if m is not None]
-    bits = sum(m.bits_compared for m in frames)
-    bit_errors = sum(m.bit_errors for m in frames)
     evm_sq_sum = snr_lin_sum = 0.0
     for m in frames:  # left to right: np.sum adds pairwise, and sum() compensates from 3.12
         evm_sq_sum += m.evm_rms_pct**2 * m.symbols_compared

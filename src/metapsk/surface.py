@@ -15,6 +15,8 @@ geometry and the cell magnitude alone.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,10 @@ class SurfaceGeometry:
             raise ValueError("cell_pitch_m must be positive")
         if self.carrier_freq_hz <= 0:
             raise ValueError("carrier_freq_hz must be positive")
+        # a cell's |x| + |y| in metres and array_factor's phases are at most (rows + cols) spans
+        span = self.cell_pitch_m * max(1.0, 2.0 * math.pi / speed_of_light * self.carrier_freq_hz)
+        if not self.rows + self.cols <= sys.float_info.max / span:  # ints too, unconverted
+            raise ValueError("the panel is too large: its cell positions or phases are not finite")
 
     @property
     def n_cells(self) -> int:

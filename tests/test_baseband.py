@@ -216,8 +216,10 @@ class TestFrame:
         np.testing.assert_array_equal(frame.data_symbols(), np.zeros(2304, dtype=int))
 
     def test_wrong_payload_length_rejected(self):
-        with pytest.raises(ValueError):
-            build_frame(np.zeros(100, dtype=int))
+        """A 0-d payload and one of three axes are neither a frame nor a block of frames."""
+        for shape in [(100,), (), (2, 2, 6912)]:
+            with pytest.raises(ValueError, match="payload must be exactly 6912 bits per frame"):
+                build_frame(np.zeros(shape, dtype=int))
 
     def test_non_binary_payload_rejected(self):
         """A payload of 0.3s used to be cast to an all-zero frame."""
@@ -316,8 +318,10 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("mode", list(TxMode))
     def test_synthesize_refuses_zero_oversampling(self, frame, mode):
-        with pytest.raises(ValueError, match="oversampling must be >= 1"):
-            synthesize(frame, mode, VoltagePhaseCurve(), make_rc(0.0, 2.048e6, 1), 0)
+        """-1 too: the surface path would otherwise fail in numpy's allocation."""
+        for oversampling in (0, -1):
+            with pytest.raises(ValueError, match="oversampling must be >= 1"):
+                synthesize(frame, mode, VoltagePhaseCurve(), make_rc(0.0, 2.048e6, 1), oversampling)
 
     def test_synthesize_refuses_an_unknown_mode(self, frame):
         with pytest.raises(ValueError, match="unknown mode"):

@@ -1,5 +1,5 @@
-"""The claim rule, the sweep-wall tails and the set-up probe summary of
-``tools/bench_pairs.py``, loaded by path."""
+"""The claim rule, the sweep-wall tails, the /proc/stat readings and the
+set-up probe summary of ``tools/bench_pairs.py``, loaded by path."""
 
 import importlib.util
 import json
@@ -104,3 +104,44 @@ def test_probe_summary_pairs_the_kth_probes():
     assert summary["change"] == {"count": 5, "q1": 0.20, "median": 0.25, "q3": 0.30, "samples_s": change}
     assert summary["median_ratio"] == pytest.approx(1.25)
     assert summary["change_wins"] == 2  # probes 0 and 2; probe 3 is a tie
+
+
+def test_busy_ticks_of_each_cpu_leave_out_idle_iowait_and_steal():
+    # user + nice + system + irq + softirq of cpu0 and cpu1; the aggregate line is not a CPU
+    assert bench_pairs.busy_ticks(PROC_STAT) == (2355 + 75 + 560 + 40, 2350 + 75 + 560 + 33)
+    with pytest.raises(ValueError):
+        bench_pairs.busy_ticks("cpu0 1 2 3 4\n")
+
+
+def test_cpu_spread_is_one_minus_the_busiest_cpus_share():
+    assert bench_pairs.cpu_spread((0, 0, (100, 200)), (0, 0, (130, 290))) == pytest.approx(0.25)
+    # idle CPUs of a larger host do not pull it to 0
+    assert bench_pairs.cpu_spread((0, 0, (5, 5, 100, 200)), (0, 0, (5, 5, 130, 290))) == pytest.approx(0.25)
+    assert bench_pairs.cpu_spread((0, 0, (100, 200)), (0, 0, (100, 290))) == 0.0
+    assert bench_pairs.cpu_spread(None, (0, 0, (130, 290))) is None
+    assert bench_pairs.cpu_spread((0, 0, (100, 200)), (0, 0, (100, 200))) is None
+
+
+def test_spread_split_counts_each_group():
+    cut = bench_pairs.COLOCATED_SPREAD
+    parent = [{"sweep_s": 1.0, "cpu_spread": 0.4}, {"sweep_s": 2.0, "cpu_spread": 0.3},
+              {"sweep_s": 4.0, "cpu_spread": cut / 2}, {"sweep_s": 8.0}]
+    change = [{"sweep_s": 3.0, "cpu_spread": cut}, {"correct": False, "cpu_spread": 0.0}]
+    pairs = [{"parent": p, "change": c} for p, c in zip(parent, change + [{}, {}])]
+    spreads, by_spread = bench_pairs.spread_split(pairs, [{"name": "sweep_s"}])
+    assert spreads == {"parent": {"median": 0.3, "runs": 3}, "change": {"median": cut / 2, "runs": 2}}
+    assert by_spread["sweep_s"]["parent"] == {"all": {"median": 3.0, "runs": 4},
+                                             "spread": {"median": 1.5, "runs": 2},
+                                             "colocated": {"median": 4.0, "runs": 1}}
+    # a spread at the cut is a spread run; a failed run has no metric to count
+    assert by_spread["sweep_s"]["change"] == {"all": {"median": 3.0, "runs": 1},
+                                             "spread": {"median": 3.0, "runs": 1},
+                                             "colocated": {"median": None, "runs": 0}}
+
+
+def test_environment_without_proc_cpuinfo(monkeypatch):
+    def no_file(*args, **kwargs):
+        raise FileNotFoundError("/proc/cpuinfo")
+
+    monkeypatch.setattr(bench_pairs, "open", no_file, raising=False)
+    assert bench_pairs.environment()["cpu"] == bench_pairs.platform.processor()

@@ -418,6 +418,13 @@ class TestPattern:
         assert {r[1] for r in rows[1:]} == {"90"}
         assert float(rows[1][2]) == pytest.approx(20 * math.log10(math.sqrt(0.85)), abs=1e-6)
 
+    def test_step_of_90_gives_broadside_and_grazing(self, capsys, tmp_path):
+        out = tmp_path / "af.csv"
+        stdout_json(capsys, "pattern", "--theta-step=90", "--out", str(out))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[0] for r in rows[1:]] == ["0", "90"]
+
     def test_step_that_overshoots_90_in_floating_point(self, capsys, tmp_path):
         """arange(0, 90 + step / 2, step) ends at 90.00000000000001 for step 90 / 169."""
         out = tmp_path / "af.csv"

@@ -1,6 +1,7 @@
 """Configuration file round-trips and derived-object glue."""
 
 import math
+import sys
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -175,6 +176,15 @@ class TestValidation:
     def test_int_too_large_for_a_float_rejected(self, name, bad):
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             SimConfig(**{name: bad})
+
+    def test_sync_threshold_of_one_accepted(self):
+        assert SimConfig(sync_threshold=1.0).sync_threshold == 1.0
+
+    @pytest.mark.skipif(sys.maxsize % 49, reason="needs a 64-bit index")
+    def test_frame_of_exactly_maxsize_samples_accepted(self):
+        """2**63 - 1 is 49 times an int: a 49-symbol frame fills the index to the last sample."""
+        cfg = SimConfig(sync_len=20, pilot_len=20, data_len=1, oversampling=sys.maxsize // 49)
+        assert cfg.layout().total_symbols * cfg.oversampling == sys.maxsize
 
     def test_int_values_kept_as_given(self):
         cfg = SimConfig(tau_s=0, snr_grid_db=(0, 10**300), max_bits=10**400)

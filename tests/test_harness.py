@@ -191,8 +191,8 @@ class TestStopRule:
            min_errors=st.integers(1, 80), max_bits=st.integers(1, 600))
     def test_stops_at_the_first_trial_over_a_floor_and_runs_no_more(self, outcomes, min_errors,
                                                                      max_bits):
-        totals = accumulate(((m.bits_compared, m.bit_errors) if m else (0, 0) for m in outcomes),
-                            lambda a, b: (a[0] + b[0], a[1] + b[1]))
+        totals = list(accumulate(((m.bits_compared, m.bit_errors) if m else (0, 0) for m in outcomes),
+                                 lambda a, b: (a[0] + b[0], a[1] + b[1])))
         stop = next((trial + 1 for trial, (bits, errors) in enumerate(totals)
                      if errors >= min_errors or bits >= max_bits), len(outcomes))
 
@@ -202,8 +202,9 @@ class TestStopRule:
                     raise AssertionError(f"trial {trial} ran after the point stopped")
                 yield outcome
 
-        cfg = SimConfig(min_errors=min_errors, max_bits=max_bits)
-        assert harness._until_stop(run_until_the_stop(), cfg) == outcomes[:stop]
+        at_stop = totals[stop - 1] if stop else (0, 0)
+        assert harness._until_stop(run_until_the_stop(), min_errors, max_bits) == \
+            (outcomes[:stop], *at_stop)
 
 
 class TestPointRow:

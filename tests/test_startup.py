@@ -35,7 +35,9 @@ PROBE = textwrap.dedent("""
 
     import metapsk.cli
     from metapsk import harness, receiver, surface
-    from metapsk.baseband import TxMode, Waveform, constellation, sync_symbols
+    from metapsk.baseband import (FrameLayout, TxMode, Waveform, build_frame, constellation,
+                                  sync_symbols, synthesize)
+    from metapsk.cell import RcDynamics, VoltagePhaseCurve
     from metapsk.channel import ChannelConfig
     from metapsk.config import SimConfig
     from metapsk.harness import SweepSpec, SweepVar
@@ -62,18 +64,37 @@ PROBE = textwrap.dedent("""
     sync = sync_symbols(cfg.sync_len)
     padded = Waveform(np.concatenate([np.zeros(5), constellation()[sync]]), 1)
     start = receiver.synchronize(padded, sync).frame_start
+
+    # the receiver finds a whole frame 5 samples in and measures it error-free;
+    # one sample short of a full frame is a sync failure
+    payload = np.random.default_rng(1).integers(0, 2, FrameLayout().payload_bits)
+    frame = build_frame(payload)
+    wave = synthesize(frame, TxMode.CONVENTIONAL, VoltagePhaseCurve(), RcDynamics(0.0, 1e-6), 1)
+    received = receiver.receive_frame(Waveform(np.concatenate([np.zeros(5), wave.samples]), 1))
+    frame_ber = receiver.measure(received, payload, frame.data_symbols()).ber
+    try:
+        receiver.receive_frame(Waveform(wave.samples[:-1], 1))
+        short = "passed sync"
+    except receiver.SyncError as exc:
+        short = str(exc)
+
     scipy_modules = sorted(m for m, module in sys.modules.items()
                            if module is not None and m.partition(".")[0] == "scipy")
-    print(json.dumps({"start": start, "scipy_modules": scipy_modules}))
+    print(json.dumps({"start": start, "frame_start": received.sync.frame_start,
+                      "frame_ber": frame_ber, "short": short, "scipy_modules": scipy_modules}))
 """)
 
 
 def test_numpy_only_paths_load_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
+    # a RuntimeWarning is an error, as in the tier-1 process
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", PROBE], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded["start"] == 5  # a multi-lag sync window
+    assert loaded["frame_start"] == 5
+    assert loaded["frame_ber"] == 0.0
+    assert "full frame" in loaded["short"]
     assert loaded["scipy_modules"] == []
 
 

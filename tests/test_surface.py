@@ -1,6 +1,7 @@
 """Unit tests for the surface grid and far-field combining."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ class TestGeometry:
         for freq in (0.0, -4.25e9):
             with pytest.raises(ValueError, match="carrier_freq_hz must be positive"):
                 SurfaceGeometry(carrier_freq_hz=freq)
+
+    @pytest.mark.parametrize("fields", [
+        dict(cell_pitch_m=sys.float_info.max),  # the positions overflow
+        dict(cell_pitch_m=1e300, carrier_freq_hz=1e300),  # the phases overflow
+        dict(rows=10**400),  # an int too large for a float
+    ])
+    def test_panel_too_large_for_finite_phases_rejected(self, fields):
+        with pytest.raises(ValueError, match="^the panel is too large"):
+            SurfaceGeometry(**fields)
 
 
 class TestReflectSample:

@@ -31,6 +31,17 @@ before and after the run; nothing is recorded where `/proc/stat` cannot
 be read.  Each workload's entry gets each side's median share
 (`steal_share`), so a slow series can be told apart from a busy host.
 
+Each run also records `cpu_spread`: 1 minus the busiest CPU's share of
+the busy ticks (user, nice, system, irq and softirq of each `cpuN` line
+of `/proc/stat`) between the same two readings.  On two CPUs it is the
+less busy one's share; idle CPUs of a larger host do not pull it to 0.
+Nothing is recorded where no busy tick moved.  A run whose spread is
+below `COLOCATED_SPREAD` is co-located: the sweep and its trial worker
+shared one CPU.  Each workload's entry gets `cpu_spread`, each side's
+median spread, and `by_spread`, each side's median of every metric over
+all runs, over spread runs and over co-located runs, with their counts.
+Nothing is pinned and no run is dropped: the split only reads the runs.
+
 After a workload's pairs, `SETUP_PROBES` fresh `perfbench/worker.py
 --setup-only` processes per side, alternating sides, each timed as
 `perfbench/run.py` times one: from just before the process starts to the
@@ -69,6 +80,10 @@ PROTOCOL = ("pairs per workload, parent and change run from separate checkouts; 
             "the parent first, odd pairs the change first; pair i uses seed base+i; quartiles by "
             "statistics.quantiles(method='inclusive')")
 SETUP_PROBES = 20  # set-up probes per side and workload
+# A run with a smaller cpu_spread is co-located: sweeps that kept the
+# sweep and its worker on one vCPU left the other 0-2 ticks a sweep, and
+# a tenth leaves room for the ticks of other processes.
+COLOCATED_SPREAD = 0.1
 
 # One sweep of a workload's full size in this process, then the peak RSS
 # of this process and of its reaped children, in MB.
@@ -133,11 +148,28 @@ def cpu_ticks(stat: str) -> tuple[int, int]:
     raise ValueError("no aggregate cpu line with a steal field")
 
 
-def read_ticks() -> tuple[int, int] | None:
-    """This machine's (steal, total) ticks so far, or None where they cannot be read."""
+def busy_ticks(stat: str) -> tuple[int, ...]:
+    """Each CPU's busy ticks, from the `cpuN` lines of a `/proc/stat` text.
+
+    Busy is user, nice, system, irq and softirq.  Idle, iowait and
+    steal are not, and guest time is already in user.
+    """
+    busy = []
+    for line in stat.splitlines():
+        fields = line.split()
+        if fields and fields[0].startswith("cpu") and fields[0] != "cpu":
+            user, nice, system, _idle, _iowait, irq, softirq = (int(f) for f in fields[1:8])
+            busy.append(user + nice + system + irq + softirq)
+    return tuple(busy)
+
+
+def read_ticks() -> tuple[int, int, tuple[int, ...]] | None:
+    """This machine's (steal, total) ticks so far and each CPU's busy ticks,
+    or None where they cannot be read."""
     try:
         with open("/proc/stat") as fh:
-            return cpu_ticks(fh.read())
+            stat = fh.read()
+        return (*cpu_ticks(stat), busy_ticks(stat))
     except (OSError, ValueError):
         return None
 
@@ -149,21 +181,33 @@ def steal_share(before, after) -> float | None:
     return (after[0] - before[0]) / (after[1] - before[1])
 
 
+def cpu_spread(before, after) -> float | None:
+    """1 - the busiest CPU's share of the busy ticks between two readings;
+    None without both or with no busy tick."""
+    if before is None or after is None:
+        return None
+    moved = [b - a for a, b in zip(before[2], after[2])]
+    if sum(moved) <= 0:
+        return None
+    return 1.0 - max(moved) / sum(moved)
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     before = read_ticks()
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-    share = steal_share(before, read_ticks())
-    steal = {} if share is None else {"steal_share": share}
+    after = read_ticks()
+    readings = {"steal_share": steal_share(before, after), "cpu_spread": cpu_spread(before, after)}
+    readings = {name: value for name, value in readings.items() if value is not None}
     if proc.returncode != 0:
-        return {"correct": False, "error": proc.stderr.strip().splitlines()[-1:], **steal}
+        return {"correct": False, "error": proc.stderr.strip().splitlines()[-1:], **readings}
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     side_files = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0-full"
     walls = json.loads((side_files / "metrics.json").read_text())["sweep_walls_s"]["untraced"]
     return {"correct": result["correct"],
             **{name: m["value"] for name, m in result["metrics"].items()},
-            "sweep_walls_s": walls, **steal}
+            "sweep_walls_s": walls, **readings}
 
 
 def median_steal(pairs: list[dict]) -> dict:
@@ -173,6 +217,30 @@ def median_steal(pairs: list[dict]) -> dict:
         shares = [p[side]["steal_share"] for p in pairs if "steal_share" in p[side]]
         medians[side] = statistics.median(shares) if shares else None
     return medians
+
+
+def _median(values: list) -> dict:
+    return {"median": statistics.median(values) if values else None, "runs": len(values)}
+
+
+def spread_split(pairs: list[dict], declared: list[dict]) -> tuple[dict, dict]:
+    """Each side's median ``cpu_spread``, and each side's medians of every
+    declared metric over all runs, spread runs and co-located runs, with
+    their counts.  A run without a spread counts in all runs only."""
+    spreads, by_spread = {}, {}
+    for side in ("parent", "change"):
+        runs = [p[side] for p in pairs]
+        read = [r for r in runs if "cpu_spread" in r]
+        spreads[side] = _median([r["cpu_spread"] for r in read])
+        groups = {"all": runs,
+                  "spread": [r for r in read if r["cpu_spread"] >= COLOCATED_SPREAD],
+                  "colocated": [r for r in read if r["cpu_spread"] < COLOCATED_SPREAD]}
+        for metric in declared:
+            name = metric["name"]
+            by_spread.setdefault(name, {})[side] = {
+                group: _median([r[name] for r in members if name in r])
+                for group, members in groups.items()}
+    return spreads, by_spread
 
 
 def children_rss(tree: Path, workload: str) -> dict:
@@ -280,8 +348,12 @@ def environment() -> dict:
     """The machine and library versions; scipy's only where it is installed."""
     import numpy
 
-    cpu = next((line.split(":", 1)[1].strip() for line in open("/proc/cpuinfo")
-                if line.startswith("model name")), platform.processor())
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), platform.processor())
+    except OSError:  # no /proc on this host
+        cpu = platform.processor()
     env = {"host": platform.node(), "nproc": len(os.sched_getaffinity(0)), "cpu": cpu,
            "platform": platform.platform(), "python": platform.python_version(),
            "numpy": numpy.__version__, "thread_env": THREADS}
@@ -328,11 +400,14 @@ def main(argv=None) -> int:
                     pair[side] = run(trees[side], workload, seed, args.seconds)
                     print(workload, seed, side, json.dumps(pair[side]), file=sys.stderr)
                 pairs.append(pair)
+            spreads, by_spread = spread_split(pairs, declared["end_to_end"])
             results[workload] = {
                 "all_runs_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
                 "summary": summarize(pairs, declared["end_to_end"]),
                 "sweep_walls": wall_tails(pairs),
                 "steal_share": median_steal(pairs),
+                "cpu_spread": {"colocated_below": COLOCATED_SPREAD, **spreads},
+                "by_spread": by_spread,
                 "setup_probes": setup_probes(trees, workload),
                 "pairs": pairs,
                 "memory": {side: children_rss(tree, workload) for side, tree in trees.items()},
